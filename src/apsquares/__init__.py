@@ -27,7 +27,6 @@ from .exactarith import (
 )
 from .obstruction import (
     MOD3_QUOTIENT,
-    NO_OBSTRUCTION,
     VALUATION_PARITY,
     ObstructionWitness,
     TraceReport,
@@ -60,7 +59,6 @@ __all__ = [
     "CheckpointMismatch",
     "DETERMINISTIC_LIMIT",
     "MOD3_QUOTIENT",
-    "NO_OBSTRUCTION",
     "ObstructionWitness",
     "PAdicSplit",
     "PrimeProfile",

@@ -5,7 +5,7 @@ search. Reports go to stdout, diagnostics to stderr. JSON output is
 canonical (sorted keys, no insignificant whitespace); integers beyond
 2^53 - 1 are emitted as decimal strings so double-precision JSON
 consumers stay exact. Exit codes: 0 success, 1 when verify finds a
-counterexample, 2 for usage or domain errors.
+counterexample, 2 for usage or domain errors, 130 when interrupted.
 """
 
 from __future__ import annotations
@@ -45,10 +45,14 @@ class _Output:
     text: str
 
 
+def _print_error(message: str) -> None:
+    # Every failure leaves a single machine-parsable record on stderr.
+    print(json.dumps({"error": message}, sort_keys=True, separators=(",", ":")), file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
-    # Usage errors must leave a single machine-parsable record on stderr.
     def error(self, message: str) -> None:  # type: ignore[override]
-        print(json.dumps({"error": message}, sort_keys=True, separators=(",", ":")), file=sys.stderr)
+        _print_error(message)
         raise SystemExit(2)
 
 
@@ -377,11 +381,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         output = dispatch(args)
     except ValueError as exc:
-        print(
-            json.dumps({"error": str(exc)}, sort_keys=True, separators=(",", ":")),
-            file=sys.stderr,
-        )
+        _print_error(str(exc))
         return 2
+    except KeyboardInterrupt:
+        # Completed rows are already flushed to any checkpoint.
+        _print_error("interrupted")
+        return 130
     sys.stdout.write(render(output, args.format))
     return output.status
 

@@ -22,13 +22,11 @@ from .apsum import APWindow, window_sum_sq_closed
 from .exactarith import PAdicSplit, modinv, padic_split
 from .residues import is_prime, legendre_euler, sqrt_mod_prime
 
-# Obstruction kinds carried by TraceReport. NONE is part of the report
-# vocabulary but the tracing operations below never produce it: they
+# Obstruction kinds carried by TraceReport. The tracing operations below
 # refuse the configurations where a square (hence no obstruction) is
-# possible at all.
+# possible at all, so every report carries one of these.
 VALUATION_PARITY = "VALUATION_PARITY"
 MOD3_QUOTIENT = "MOD3_QUOTIENT"
-NO_OBSTRUCTION = "NONE"
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,22 @@ row boundary is both the checkpoint granularity and the natural sharding
 line. `verify_no_solutions` is the falsification harness for window
 lengths where squares are impossible; it always scans the full grid and
 never assumes the result it is checking. `find_solutions` discovers
-square windows and can prune with the mod-p ratio sieve, which is
-lossless: sieved and unsieved runs return identical solution lists.
+square windows and can prune with the mod-p ratio sieve. Every cell
+either route inspects goes through the one row kernel `_scan_row`.
+
+The sieve applies to prime k >= 5. A row with k | d is scanned in full.
+A row with k not dividing d touches only the residue classes of n whose
+ratio d/n mod k is admissible; every other cell of the row has odd
+k-adic valuation, so the sieve is lossless: sieved and unsieved runs
+return identical solution lists, and only `windows_checked` differs.
 
 Checkpoint files are line-oriented text. Line 1 is the parameter
 fingerprint ``k=<k> n_max=<n> d_max=<d> sieve=<0|1>``; each subsequent
-line is ``done d=<value>`` for a fully completed row. Resuming against a
-file whose fingerprint does not match the requested run is a hard error.
+line is ``done d=<value>`` for a fully completed row. Only
+newline-terminated lines count: a torn final line left by an
+interrupted append is ignored and cut off before the next append.
+Resuming against a file whose fingerprint does not match the requested
+run, or that names a row outside [1, d_max], is a hard error.
 """
 
 from __future__ import annotations
@@ -77,64 +86,33 @@ def _scan_row(k: int, d: int, n_lo: int, n_hi: int, step: int = 1) -> list[tuple
     return hits
 
 
-def _check_cell(k: int, n: int, d: int) -> int | None:
-    s = k * n * n + k * (k - 1) * n * d + d * d * (k * (k - 1) * (2 * k - 1) // 6)
-    if not (_SQ64_MASK >> (s & 63)) & 1:
-        return None
-    r = math.isqrt(s)
-    return r if r * r == s else None
+def _sieved_row(k: int, d: int, n_max: int, inverses: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """Scan one row under the sieve; returns (cells checked, hits).
 
-
-def _sieved_cell(k: int, n: int, d: int, admissible: frozenset[int]) -> tuple[int, int | None]:
-    """Dispatch one grid cell under the ratio sieve.
-
-    Common powers of k are stripped first: S(k*n', k*d', k) = k^2 *
-    S(n', d', k), so the reduced cell decides the original one and the
-    root scales back exactly. Returns (cells_checked, root) for the
-    original (n, d); pruned cells report 0 checks.
+    `inverses` holds r^-1 mod k for each admissible ratio r. When k does
+    not divide d, a square needs k not dividing n and n = d * r^-1
+    (mod k), so only those classes are scanned. The class k | n is
+    skipped because there v_k(S) = 1 exactly: with n = k*m,
+    S = k^3 m^2 + k^2 (k-1) m d + k d^2 (k-1)(2k-1)/6, whose first two
+    terms are divisible by k^2 while the last is k times a unit, since
+    k does not divide d and (k-1)(2k-1)/6 = 1/6 (mod k) for prime k >= 5.
     """
-    scale = 1
-    while n % k == 0 and d % k == 0:
-        n //= k
-        d //= k
-        scale *= k
-    nr = n % k
     dr = d % k
-    if nr and dr and dr * pow(nr, -1, k) % k not in admissible:
-        return 0, None
-    root = _check_cell(k, n, d)
-    return 1, None if root is None else root * scale
-
-
-def _sieved_row(k: int, d: int, n_max: int, admissible: frozenset[int]) -> tuple[int, list[tuple[int, int]]]:
-    """Scan one row under the sieve; returns (cells checked, hits)."""
-    dr = d % k
+    if not dr:
+        return n_max, _scan_row(k, d, 1, n_max)
     checked = 0
     hits: list[tuple[int, int]] = []
-    if dr:
-        # Coprime stratum: a square needs n = d * r^-1 (mod k) for an
-        # admissible ratio r, so only those residue classes are touched;
-        # the rest of the stratum is pruned without inspection. Class 0
-        # is the mixed stratum (k | n only) and is always scanned.
-        classes = {dr * pow(r, -1, k) % k for r in admissible}
-        classes.add(0)
-        for cls in classes:
-            start = cls if cls else k
-            hits.extend(_scan_row(k, d, start, n_max, step=k))
-            checked += len(range(start, n_max + 1, k))
-        hits.sort()
-    else:
-        for n in range(1, n_max + 1):
-            counted, root = _sieved_cell(k, n, d, admissible)
-            checked += counted
-            if root is not None:
-                hits.append((n, root))
+    for inverse in inverses:
+        start = dr * inverse % k
+        hits.extend(_scan_row(k, d, start, n_max, step=k))
+        checked += len(range(start, n_max + 1, k))
+    hits.sort()
     return checked, hits
 
 
 def _record(solutions: list[tuple[int, int, int]], k: int, n: int, d: int, t: int) -> None:
     # Re-verify from scratch before accepting; a failure here means the
-    # scan or the sieve reduction is broken, not the input.
+    # scan or the sieve is broken, not the input.
     if window_sum_sq_closed(APWindow(n=n, d=d, k=k)) != t * t:
         raise RuntimeError(f"candidate ({n}, {d}, {t}) for k={k} failed re-verification")
     solutions.append((n, d, t))
@@ -144,12 +122,19 @@ def _fingerprint(k: int, n_max: int, d_max: int, sieve: bool) -> str:
     return f"k={k} n_max={n_max} d_max={d_max} sieve={int(sieve)}"
 
 
-def _load_done_rows(path: str, fingerprint: str) -> set[int]:
-    """Completed d rows recorded in a checkpoint file, if it has content."""
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return set()
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+def _load_done_rows(path: str, fingerprint: str, d_max: int) -> tuple[set[int], int]:
+    """Completed d rows in a checkpoint file and the length of its
+    newline-terminated prefix; a torn final line counts for nothing."""
+    if not os.path.exists(path):
+        return set(), 0
+    with open(path, "rb") as fh:
+        data = fh.read().decode("ascii")
+    committed = data[: data.rfind("\n") + 1]
+    lines = committed.splitlines()
+    if not lines:
+        if not (fingerprint + "\n").startswith(data):
+            raise CheckpointMismatch(f"checkpoint {data!r} does not match the requested run {fingerprint!r}")
+        return set(), 0
     if lines[0] != fingerprint:
         raise CheckpointMismatch(
             f"checkpoint fingerprint {lines[0]!r} does not match the requested run {fingerprint!r}"
@@ -159,10 +144,13 @@ def _load_done_rows(path: str, fingerprint: str) -> set[int]:
         if not line.startswith("done d="):
             raise CheckpointMismatch(f"malformed checkpoint line {line!r}")
         try:
-            done.add(int(line[len("done d="):]))
+            d = int(line[len("done d="):])
         except ValueError as exc:
             raise CheckpointMismatch(f"malformed checkpoint line {line!r}") from exc
-    return done
+        if not 1 <= d <= d_max:
+            raise CheckpointMismatch(f"checkpoint row d={d} is outside [1, {d_max}]")
+        done.add(d)
+    return done, len(committed)
 
 
 def verify_no_solutions(
@@ -192,16 +180,16 @@ def verify_no_solutions(
             )
     start = time.perf_counter()
     fingerprint = _fingerprint(p, n_max, d_max, sieve=False)
-    done = _load_done_rows(checkpoint, fingerprint) if checkpoint else set()
+    done, committed = _load_done_rows(checkpoint, fingerprint, d_max) if checkpoint else (set(), 0)
 
     solutions: list[tuple[int, int, int]] = []
     windows = 0
     ckpt = None
     try:
         if checkpoint:
-            fresh = not os.path.exists(checkpoint) or os.path.getsize(checkpoint) == 0
             ckpt = open(checkpoint, "a", encoding="ascii")
-            if fresh:
+            ckpt.truncate(committed)
+            if not committed:
                 ckpt.write(fingerprint + "\n")
                 ckpt.flush()
         for d in range(1, d_max + 1):
@@ -238,11 +226,11 @@ def find_solutions(
 ) -> SearchReport:
     """Every (n, d, t) in range with S(n, d, k) = t^2, ascending in (d, n).
 
-    The sieve is applied only for prime k >= 5: the coprime stratum is
-    restricted to the admissible d/n ratio classes (an empty set when 3
-    is a non-residue of k, leaving only the k | n*d strata to scan) and
-    cells with k dividing both n and d are reduced by exact scaling.
-    Results are identical with and without the sieve.
+    The sieve is applied only for prime k >= 5. Rows with k | d are
+    scanned in full; every other row touches only the n classes whose
+    ratio d/n mod k is admissible (none when 3 is a non-residue of k).
+    The solutions are identical with and without the sieve;
+    `windows_checked` counts the cells actually inspected.
     """
     if k < 2:
         raise ValueError(
@@ -252,21 +240,18 @@ def find_solutions(
     _validate_bounds(n_max, d_max)
     start = time.perf_counter()
     sieve_active = bool(use_sieve) and k >= 5 and is_prime(k)
+    inverses = tuple(pow(r, -1, k) for r in residue_sieve(k)) if sieve_active else None
 
     solutions: list[tuple[int, int, int]] = []
     windows = 0
-    if sieve_active:
-        admissible = residue_sieve(k)
-        for d in range(1, d_max + 1):
-            checked, hits = _sieved_row(k, d, n_max, admissible)
-            windows += checked
-            for n, root in hits:
-                _record(solutions, k, n, d, root)
-    else:
-        for d in range(1, d_max + 1):
-            windows += n_max
-            for n, root in _scan_row(k, d, 1, n_max):
-                _record(solutions, k, n, d, root)
+    for d in range(1, d_max + 1):
+        if inverses is None:
+            checked, hits = n_max, _scan_row(k, d, 1, n_max)
+        else:
+            checked, hits = _sieved_row(k, d, n_max, inverses)
+        windows += checked
+        for n, root in hits:
+            _record(solutions, k, n, d, root)
     return SearchReport(
         k=k,
         n_range=(1, n_max),

@@ -1,5 +1,14 @@
 """Shared oracle helpers, deliberately independent of the library code."""
 
+import os
+from pathlib import Path
+
+# CLI tests run `python -m apsquares` in a subprocess; let it import the
+# package from this checkout's src/ without an install, as pytest's
+# `pythonpath` setting does for the test process itself.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
 
 def primes_below(limit: int) -> list[int]:
     """Sieve of Eratosthenes; the tests' independent prime oracle."""

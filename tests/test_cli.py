@@ -194,6 +194,22 @@ def test_counterexample_exit_code_1(monkeypatch, capsys):
     assert json.loads(captured.out)["solutions"] == [[18, 1, 77]]
 
 
+def test_keyboard_interrupt_is_exit_130_with_error_record(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "dispatch", interrupted)
+    try:
+        code = cli.main(["verify", "--p", "5", "--max-n", "30", "--max-d", "1"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    captured = capsys.readouterr()
+    assert code == 130
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
 def test_cli_checkpoint_resume_reproduces_report(tmp_path):
     ckpt = tmp_path / "verify.ckpt"
     uninterrupted = run_cli("verify", "--p", "7", "--max-n", "40", "--max-d", "10")

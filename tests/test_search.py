@@ -5,6 +5,8 @@ import math
 
 import pytest
 from conftest import direct_square_sum
+from hypothesis import given
+from hypothesis import strategies as st
 
 import apsquares.search as search
 from apsquares.apsum import APWindow, window_sum_sq_closed
@@ -108,6 +110,32 @@ def test_sieve_on_non_residue_prime_scans_only_divisible_strata():
     assert 0 < sieved.windows_checked <= 100 * 100 - 80 * 80
 
 
+@pytest.mark.parametrize("k,n_max", [(5, 200), (7, 150), (11, 220), (13, 60), (23, 12)])
+def test_sieve_equals_plain_scan_and_brute_force_past_k_squared(k, n_max):
+    # d_max >= 2k^2 puts rows with k^2 | d in the grid; n_max = 220 for
+    # k = 11 reaches the scaled solution (198, 11, 847) of (18, 1, 77).
+    d_max = 2 * k * k + 2
+    sieved = find_solutions(k, n_max, d_max, use_sieve=True)
+    assert sieved.sieve_used
+    assert sieved.solutions == find_solutions(k, n_max, d_max).solutions
+    assert sieved.solutions == _brute_solutions(k, n_max, d_max)
+
+
+@given(st.sampled_from([11, 13, 23, 37]), st.integers(1, 10**6), st.integers(1, 10**6))
+def test_k_divides_n_only_gives_valuation_one(k, m, d):
+    # The coprime-row sieve skips the class k | n on this law.
+    if d % k == 0:
+        d += 1
+    total = direct_square_sum(k * m, d, k)
+    assert total % k == 0 and total % (k * k) != 0
+
+
+def test_sieve_on_non_residue_prime_scans_only_rows_divisible_by_k():
+    # Coprime rows have no admissible class, so only the 20 rows with
+    # 5 | d are inspected, in full.
+    assert find_solutions(5, 100, 100, use_sieve=True).windows_checked == 20 * 100
+
+
 def test_sieve_request_ignored_for_ineligible_lengths():
     for k in (2, 3, 4, 24):
         report = find_solutions(k, 30, 5, use_sieve=True)
@@ -171,6 +199,41 @@ def test_checkpoint_malformed_line(tmp_path):
     path.write_text("k=5 n_max=30 d_max=12 sieve=0\nrow 3 finished\n", encoding="ascii")
     with pytest.raises(CheckpointMismatch):
         verify_no_solutions(5, 30, 12, checkpoint=str(path))
+
+
+def test_checkpoint_torn_tail_is_cut_before_append(tmp_path):
+    full = verify_no_solutions(5, 30, 12)
+    fingerprint = "k=5 n_max=30 d_max=12 sieve=0"
+    path = tmp_path / "torn.ckpt"
+    for content in (fingerprint + "\ndone d=1\ndone d=", fingerprint[:7]):
+        path.write_text(content, encoding="ascii")
+        resumed = verify_no_solutions(5, 30, 12, checkpoint=str(path))
+        assert _essence(resumed) == _essence(full)
+        assert path.read_text(encoding="ascii") == fingerprint + "\n" + "".join(
+            f"done d={d}\n" for d in range(1, 13)
+        )
+    path.write_text("k=7 n_max", encoding="ascii")  # torn, but another run's
+    with pytest.raises(CheckpointMismatch):
+        verify_no_solutions(5, 30, 12, checkpoint=str(path))
+
+
+def test_checkpoint_torn_row_number_is_not_done(tmp_path, monkeypatch):
+    # A torn "done d=25" reads "done d=2"; row 2 holds a counterexample
+    # here, so trusting the torn line would lose it.
+    monkeypatch.setattr(search, "legendre_euler", lambda a, p: -1)
+    path = tmp_path / "torn.ckpt"
+    path.write_text("k=11 n_max=40 d_max=25 sieve=0\ndone d=2", encoding="ascii")
+    report = search.verify_no_solutions(11, 40, 25, checkpoint=str(path))
+    assert (36, 2, 154) in report.solutions
+    assert report.solutions == search.verify_no_solutions(11, 40, 25).solutions
+
+
+def test_checkpoint_row_outside_grid_rejected(tmp_path):
+    path = tmp_path / "range.ckpt"
+    for row in (0, 13, 999):
+        path.write_text(f"k=5 n_max=30 d_max=12 sieve=0\ndone d={row}\n", encoding="ascii")
+        with pytest.raises(CheckpointMismatch):
+            verify_no_solutions(5, 30, 12, checkpoint=str(path))
 
 
 def test_checkpoint_empty_file_is_fresh(tmp_path):
