@@ -5,7 +5,8 @@ search. Reports go to stdout, diagnostics to stderr. JSON output is
 canonical (sorted keys, no insignificant whitespace); integers beyond
 2^53 - 1 are emitted as decimal strings so double-precision JSON
 consumers stay exact. Exit codes: 0 success, 1 when verify finds a
-counterexample, 2 for usage or domain errors, 130 when interrupted.
+counterexample, 2 for usage or domain errors, 130 when interrupted,
+143 when terminated by SIGTERM.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import csv
 import io
 import json
 import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -375,9 +378,21 @@ def dispatch(args: argparse.Namespace) -> _Output:
     return _HANDLERS[args.command](args)
 
 
+class _Terminated(BaseException):
+    """SIGTERM arrived; like KeyboardInterrupt, not an `Exception`."""
+
+
+def _raise_terminated(signum: int, frame: Any) -> None:
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Only the main thread may install signal handlers.
+    trap = threading.current_thread() is threading.main_thread()
+    if trap:
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         output = dispatch(args)
     except ValueError as exc:
@@ -387,6 +402,12 @@ def main(argv: list[str] | None = None) -> int:
         # Completed rows are already flushed to any checkpoint.
         _print_error("interrupted")
         return 130
+    except _Terminated:
+        _print_error("terminated")
+        return 143
+    finally:
+        if trap:
+            signal.signal(signal.SIGTERM, previous)
     sys.stdout.write(render(output, args.format))
     return output.status
 

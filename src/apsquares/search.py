@@ -8,11 +8,25 @@ never assumes the result it is checking. `find_solutions` discovers
 square windows and can prune with the mod-p ratio sieve. Every cell
 either route inspects goes through the one row kernel `_scan_row`.
 
+The kernel decides a row without visiting most of its cells. A perfect
+square is a square modulo every m, and S(n, d, k) mod m depends only on
+n mod m and d mod m. For each modulus m in (64, 9, 5, 7, 11, 13) that is
+coprime to k, a table built once per run holds, per d mod m, a byte per
+cell marking the n whose S is a square mod m. The kernel ANDs these
+tiles into a selector, and only the cells that survive (about 3%) have
+S evaluated and an exact `math.isqrt` taken. A modulus sharing a factor
+with k is never used: for length p the mod-p test is the nonexistence
+theorem itself (it rejects every length-5 cell), so `verify` would
+assume what it checks. Rows longer than a block of 4096 cells are
+selected block by block, so the tables stay bounded.
+
 The sieve applies to prime k >= 5. A row with k | d is scanned in full.
-A row with k not dividing d touches only the residue classes of n whose
-ratio d/n mod k is admissible; every other cell of the row has odd
-k-adic valuation, so the sieve is lossless: sieved and unsieved runs
-return identical solution lists, and only `windows_checked` differs.
+In a row with k not dividing d, the selector also keeps only the
+residue classes of n whose ratio d/n mod k is admissible; every other
+cell of the row has odd k-adic valuation, so the sieve is lossless:
+sieved and unsieved runs return identical solution lists, and only
+`windows_checked` differs. It counts every cell the sieve leaves,
+including those the residue tables reject, as decided.
 
 Checkpoint files are line-oriented text. Line 1 is the parameter
 fingerprint ``k=<k> n_max=<n> d_max=<d> sieve=<0|1>``; each subsequent
@@ -29,9 +43,9 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 from .apsum import APWindow, window_sum_sq_closed
-from .exactarith import _SQ64_MASK
 from .obstruction import residue_sieve
 from .residues import is_prime, legendre_euler
 
@@ -44,9 +58,10 @@ class CheckpointMismatch(ValueError):
 class SearchReport:
     """Outcome of one grid scan.
 
-    `windows_checked` counts cells whose sum actually underwent a square
-    decision; under the sieve it is the grid size minus the pruned
-    cells. Every (n, d, t) in `solutions` was re-verified on insertion.
+    `windows_checked` counts cells whose sum underwent a square
+    decision, including cells the residue selector rejects; under the
+    sieve it is the grid size minus the pruned cells. Every (n, d, t)
+    in `solutions` was re-verified on insertion.
     `elapsed` is wall time of this invocation only and is excluded from
     serialized reports.
     """
@@ -66,48 +81,111 @@ def _validate_bounds(n_max: int, d_max: int) -> None:
         raise ValueError(f"search bounds must be positive, got n_max={n_max}, d_max={d_max}")
 
 
-def _scan_row(k: int, d: int, n_lo: int, n_hi: int, step: int = 1) -> list[tuple[int, int]]:
-    """Square-check S(n, d, k) for n in [n_lo, n_hi] stepping by `step`.
+# Residue-selector moduli; those sharing a factor with k are skipped
+# (see the module docstring).
+_MODULI = (64, 9, 5, 7, 11, 13)
+# Cells per selector block; longer rows are scanned block by block.
+_BLOCK = 4096
 
-    Returns (n, root) pairs in ascending n. Exact throughout: the mod-64
-    mask only skips values that cannot be squares.
+
+def _bytes_tile(period: bytes, width: int) -> int:
+    # `period` repeated to at least `width` bytes, as an int whose byte
+    # i (little-endian) is period[i % len(period)].
+    return int.from_bytes(period * -(-width // len(period)), "little")
+
+
+@dataclass(frozen=True)
+class _RowTables:
+    """Per-length tables of the row kernel, built once per run.
+
+    A tile is an int holding one 0/1 byte per cell, byte i for the cell
+    n = lo + i of the block starting at lo; ANDing tiles intersects the
+    cell sets they select. `squares` holds, for each modulus m, one
+    tile per d mod m, repeating with period m from n = 1 and long
+    enough to be shifted by up to m - 1 cells.
+    """
+
+    width: int
+    every_cell: int
+    every_kth_cell: int
+    squares: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _row_tables(k: int, n_max: int) -> _RowTables:
+    width = min(n_max, _BLOCK)
+    a, b, c = k, k * (k - 1), k * (k - 1) * (2 * k - 1) // 6
+    squares = []
+    for m in _MODULI:
+        if math.gcd(m, k) > 1:
+            continue
+        residues = {x * x % m for x in range(m)}
+        tiles = tuple(
+            _bytes_tile(
+                bytes((a * n * n + b * r * n + c * r * r) % m in residues for n in range(1, m + 1)),
+                width + m - 1,
+            )
+            for r in range(m)
+        )
+        squares.append((m, tiles))
+    return _RowTables(
+        width=width,
+        every_cell=_bytes_tile(b"\x01", width),
+        every_kth_cell=_bytes_tile(b"\x01".ljust(min(k, width), b"\x00"), width),
+        squares=tuple(squares),
+    )
+
+
+def _scan_row(
+    k: int,
+    d: int,
+    n_lo: int,
+    n_hi: int,
+    *,
+    tables: _RowTables,
+    inverses: tuple[int, ...] | None = None,
+) -> list[tuple[int, int]]:
+    """Square-check S(n, d, k) for n in [n_lo, n_hi]; (n, root) pairs in
+    ascending n.
+
+    Each block of cells is first narrowed by a selector: the AND of the
+    square tiles for d mod m and, when `inverses` is given, of the tiles
+    of the cells n = d * inverse (mod k). Only the surviving cells have
+    S evaluated and an exact isqrt taken.
     """
     b = k * (k - 1) * d
     c = d * d * (k * (k - 1) * (2 * k - 1) // 6)
+    width = tables.width
     hits = []
     isqrt = math.isqrt
-    mask = _SQ64_MASK
-    for n in range(n_lo, n_hi + 1, step):
-        s = k * n * n + b * n + c
-        if (mask >> (s & 63)) & 1:
-            r = isqrt(s)
-            if r * r == s:
-                hits.append((n, r))
+    for lo in range(n_lo, n_hi + 1, width):
+        selector = tables.every_cell
+        for m, tiles in tables.squares:
+            selector &= tiles[d % m] >> ((lo - 1) % m * 8)
+        if selector and inverses is not None:
+            admissible = 0
+            for inverse in inverses:
+                shift = (d * inverse - lo) % k
+                if shift < width:
+                    admissible |= tables.every_kth_cell << (shift * 8)
+            selector &= admissible
+        if not selector:
+            continue
+        for n in compress(range(lo, min(lo + width, n_hi + 1)), selector.to_bytes(width, "little")):
+            s = k * n * n + b * n + c
+            root = isqrt(s)
+            if root * root == s:
+                hits.append((n, root))
     return hits
 
 
-def _sieved_row(k: int, d: int, n_max: int, inverses: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
-    """Scan one row under the sieve; returns (cells checked, hits).
-
-    `inverses` holds r^-1 mod k for each admissible ratio r. When k does
-    not divide d, a square needs k not dividing n and n = d * r^-1
-    (mod k), so only those classes are scanned. The class k | n is
-    skipped because there v_k(S) = 1 exactly: with n = k*m,
-    S = k^3 m^2 + k^2 (k-1) m d + k d^2 (k-1)(2k-1)/6, whose first two
-    terms are divisible by k^2 while the last is k times a unit, since
-    k does not divide d and (k-1)(2k-1)/6 = 1/6 (mod k) for prime k >= 5.
-    """
-    dr = d % k
-    if not dr:
-        return n_max, _scan_row(k, d, 1, n_max)
-    checked = 0
-    hits: list[tuple[int, int]] = []
-    for inverse in inverses:
-        start = dr * inverse % k
-        hits.extend(_scan_row(k, d, start, n_max, step=k))
-        checked += len(range(start, n_max + 1, k))
-    hits.sort()
-    return checked, hits
+def _sieved_cells(k: int, n_max: int, d_max: int, inverses: tuple[int, ...]) -> int:
+    """Cells the sieve leaves to decide: every cell of the rows with
+    k | d, and in each other row the cells n = d * inverse (mod k)."""
+    cells = n_max * (d_max // k)
+    for dr in range(1, min(k, d_max + 1)):
+        per_row = sum(len(range(dr * inverse % k, n_max + 1, k)) for inverse in inverses)
+        cells += per_row * len(range(dr, d_max + 1, k))
+    return cells
 
 
 def _record(solutions: list[tuple[int, int, int]], k: int, n: int, d: int, t: int) -> None:
@@ -182,6 +260,7 @@ def verify_no_solutions(
     fingerprint = _fingerprint(p, n_max, d_max, sieve=False)
     done, committed = _load_done_rows(checkpoint, fingerprint, d_max) if checkpoint else (set(), 0)
 
+    tables = _row_tables(p, n_max)
     solutions: list[tuple[int, int, int]] = []
     windows = 0
     ckpt = None
@@ -196,7 +275,7 @@ def verify_no_solutions(
             if d in done:
                 windows += n_max
                 continue
-            hits = _scan_row(p, d, 1, n_max)
+            hits = _scan_row(p, d, 1, n_max, tables=tables)
             windows += n_max
             for n, root in hits:
                 _record(solutions, p, n, d, root)
@@ -227,10 +306,10 @@ def find_solutions(
     """Every (n, d, t) in range with S(n, d, k) = t^2, ascending in (d, n).
 
     The sieve is applied only for prime k >= 5. Rows with k | d are
-    scanned in full; every other row touches only the n classes whose
-    ratio d/n mod k is admissible (none when 3 is a non-residue of k).
-    The solutions are identical with and without the sieve;
-    `windows_checked` counts the cells actually inspected.
+    scanned in full; in every other row only the n classes whose ratio
+    d/n mod k is admissible (none when 3 is a non-residue of k) are
+    decided. The solutions are identical with and without the sieve;
+    `windows_checked` counts the cells the sieve leaves.
     """
     if k < 2:
         raise ValueError(
@@ -240,18 +319,19 @@ def find_solutions(
     _validate_bounds(n_max, d_max)
     start = time.perf_counter()
     sieve_active = bool(use_sieve) and k >= 5 and is_prime(k)
+    # In a row with k not dividing d, a square needs n = d * r^-1 (mod k)
+    # for an admissible ratio r, so never k | n. There, with n = k*m,
+    # S = k^3 m^2 + k^2 (k-1) m d + k d^2 (k-1)(2k-1)/6 has v_k(S) = 1:
+    # the last term is k times a unit, as (k-1)(2k-1)/6 = 1/6 (mod k).
     inverses = tuple(pow(r, -1, k) for r in residue_sieve(k)) if sieve_active else None
+    tables = _row_tables(k, n_max)
 
     solutions: list[tuple[int, int, int]] = []
-    windows = 0
     for d in range(1, d_max + 1):
-        if inverses is None:
-            checked, hits = n_max, _scan_row(k, d, 1, n_max)
-        else:
-            checked, hits = _sieved_row(k, d, n_max, inverses)
-        windows += checked
-        for n, root in hits:
+        row_inverses = inverses if d % k else None
+        for n, root in _scan_row(k, d, 1, n_max, tables=tables, inverses=row_inverses):
             _record(solutions, k, n, d, root)
+    windows = n_max * d_max if inverses is None else _sieved_cells(k, n_max, d_max, inverses)
     return SearchReport(
         k=k,
         n_range=(1, n_max),

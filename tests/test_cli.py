@@ -2,8 +2,11 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -208,6 +211,62 @@ def test_keyboard_interrupt_is_exit_130_with_error_record(monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+def test_sigterm_is_exit_143_and_keeps_completed_rows(tmp_path):
+    # A grid far too large to finish: stop it once some rows are done.
+    ckpt = tmp_path / "term.ckpt"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "apsquares", "verify", "--p", "89",
+         "--max-n", "2000", "--max-d", "100000000", "--checkpoint", str(ckpt)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while "done d=" not in (ckpt.read_text(encoding="ascii") if ckpt.exists() else ""):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 143
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+    text = ckpt.read_text(encoding="ascii")
+    assert text.endswith("\n")
+    rows = text.splitlines()
+    assert rows[0] == "k=89 n_max=2000 d_max=100000000 sieve=0"
+    assert len(rows) >= 2
+    assert rows[1:] == [f"done d={d}" for d in range(1, len(rows))]
+
+
+def test_main_restores_the_previous_sigterm_handler(capsys):
+    def previous(signum, frame):
+        pass
+
+    saved = signal.signal(signal.SIGTERM, previous)
+    try:
+        assert cli.main(["sum", "--k", "3"]) == 0
+        assert cli.main(["verify", "--p", "11", "--max-n", "3", "--max-d", "1"]) == 2
+        assert signal.getsignal(signal.SIGTERM) is previous
+    finally:
+        signal.signal(signal.SIGTERM, saved)
+    capsys.readouterr()
+
+
+def test_main_runs_outside_the_main_thread(capsys):
+    # Signal handlers can only be installed from the main thread.
+    results = []
+    worker = threading.Thread(target=lambda: results.append(cli.main(["sum", "--k", "3"])))
+    worker.start()
+    worker.join()
+    assert results == [0]
+    assert json.loads(capsys.readouterr().out)["k"] == 3
 
 
 def test_cli_checkpoint_resume_reproduces_report(tmp_path):

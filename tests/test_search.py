@@ -136,6 +136,20 @@ def test_sieve_on_non_residue_prime_scans_only_rows_divisible_by_k():
     assert find_solutions(5, 100, 100, use_sieve=True).windows_checked == 20 * 100
 
 
+@pytest.mark.parametrize("k,n_max,d_max", [(11, 30, 7), (11, 30, 25), (13, 20, 40), (23, 100, 47), (5, 9, 12)])
+def test_sieved_windows_count_admissible_cells(k, n_max, d_max):
+    # Every cell of a row with k | d, and elsewhere the cells whose ratio
+    # d/n mod k is admissible, i.e. d = n * r (mod k).
+    ratios = search.residue_sieve(k)
+    expected = sum(
+        1
+        for d in range(1, d_max + 1)
+        for n in range(1, n_max + 1)
+        if d % k == 0 or any((n * r - d) % k == 0 for r in ratios)
+    )
+    assert find_solutions(k, n_max, d_max, use_sieve=True).windows_checked == expected
+
+
 def test_sieve_request_ignored_for_ineligible_lengths():
     for k in (2, 3, 4, 24):
         report = find_solutions(k, 30, 5, use_sieve=True)
@@ -262,3 +276,88 @@ def test_injected_fake_hit_fails_reverification(monkeypatch):
     monkeypatch.setattr(search, "_scan_row", lambda *args, **kwargs: [(1, 1)])
     with pytest.raises(RuntimeError):
         search.verify_no_solutions(5, 3, 1)
+
+
+_BLOCK = search._BLOCK
+
+
+def _kernel_hits(k, d, n_lo, n_hi, sieve):
+    # The kernel as find_solutions drives it: the sieve only for prime
+    # k >= 5 and only on rows with k not dividing d.
+    tables = search._row_tables(k, n_hi - n_lo + 1)
+    inverses = None
+    if sieve and k >= 5 and search.is_prime(k) and d % k:
+        inverses = tuple(pow(r, -1, k) for r in search.residue_sieve(k))
+    return search._scan_row(k, d, n_lo, n_hi, tables=tables, inverses=inverses)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 11, 12, 13, 23, 89])
+def test_row_kernel_matches_direct_sums(k):
+    # The oracle runs once per row over the longest range; shorter rows
+    # compare against its prefix. Rows at d of 2^64 and more push S past
+    # 2^128; rows with k | d run unsieved.
+    n_maxes = (1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 17)
+    for d in (1, 3 * k, 2**70 - 3, k << 64):
+        expected = []
+        for n in range(1, n_maxes[-1] + 1):
+            total = direct_square_sum(n, d, k)
+            root = math.isqrt(total)
+            if root * root == total:
+                expected.append((n, root))
+        for n_max in n_maxes:
+            prefix = [hit for hit in expected if hit[0] <= n_max]
+            for sieve in (False, True):
+                assert _kernel_hits(k, d, 1, n_max, sieve) == prefix, (d, n_max, sieve)
+
+
+@pytest.mark.parametrize("k,n,d,t", [(11, 18, 1, 77), (23, 7, 1, 92), (24, 1, 1, 70), (2, 3, 1, 5)])
+def test_row_kernel_finds_scaled_solutions_past_2_64(k, n, d, t):
+    # (m*n, m*d, m*t) solves whenever (n, d, t) does; m > 2^64 makes the
+    # sums exceed 2^128 inside a window starting far from n = 1.
+    m = 2**65 + 7
+    lo = m * n - _BLOCK - 5
+    for sieve in (False, True):
+        hits = _kernel_hits(k, m * d, lo, lo + 2 * _BLOCK + 16, sieve)
+        assert (m * n, m * t) in hits
+        for hit_n, root in hits:
+            assert root * root == direct_square_sum(hit_n, m * d, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
+def test_row_tables_match_residue_enumeration(k):
+    n_max = 40
+    tables = search._row_tables(k, n_max)
+    assert tables.width == n_max
+    for m, tiles in tables.squares:
+        squares_mod_m = {x * x % m for x in range(m)}
+        assert len(tiles) == m
+        for r, tile in enumerate(tiles):
+            for i in range(n_max + m - 1):
+                byte = tile >> (8 * i) & 0xFF
+                # d = r stands for every d = r (mod m).
+                assert byte == (direct_square_sum(i + 1, r, k) % m in squares_mod_m), (m, r, i)
+    for i in range(n_max):
+        assert tables.every_cell >> (8 * i) & 0xFF == 1
+        assert tables.every_kth_cell >> (8 * i) & 0xFF == (i % k == 0)
+
+
+def test_verify_filter_never_uses_the_length_as_modulus(monkeypatch):
+    # A filter modulus sharing a factor with p would let verify assume
+    # the nonexistence result it is meant to test.
+    used = []
+    real_scan_row = search._scan_row
+
+    def spy(*args, **kwargs):
+        used.append(kwargs["tables"])
+        return real_scan_row(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_scan_row", spy)
+    lengths = [3] + [p for p in range(5, 200) if search.is_prime(p) and p % 12 in (5, 7)]
+    assert 5 in lengths and 7 in lengths
+    for p in lengths:
+        used.clear()
+        verify_no_solutions(p, 20, 2)
+        assert used
+        for tables in used:
+            assert tables.squares
+            assert all(math.gcd(m, p) == 1 for m, _ in tables.squares), p
