@@ -206,7 +206,11 @@ def _load_done_rows(path: str, fingerprint: str, d_max: int) -> tuple[set[int], 
     if not os.path.exists(path):
         return set(), 0
     with open(path, "rb") as fh:
-        data = fh.read().decode("ascii")
+        raw = fh.read()
+    try:
+        data = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CheckpointMismatch(f"checkpoint {path!r} is not an ASCII checkpoint file") from exc
     committed = data[: data.rfind("\n") + 1]
     lines = committed.splitlines()
     if not lines:

@@ -69,6 +69,30 @@ GOLDEN = [
         ("classify", "--p", "7", "--format", "csv"),
         "p,mod12,legendre3\n7,7,-1\n",
     ),
+    (
+        ("legendre", "--a", "3", "--p", "5", "--format", "csv"),
+        "a,p,symbol\n3,5,-1\n",
+    ),
+    (
+        ("sqrtmod", "--a", "2", "--p", "17", "--format", "csv"),
+        "a,p,root_small,root_large\n2,17,6,11\n",
+    ),
+    (
+        ("sum", "--k", "24", "--format", "csv"),
+        "k,sum,sum_sq\n24,300,4900\n",
+    ),
+    (
+        ("check", "--n", "1", "--d", "1", "--k", "3", "--format", "csv"),
+        "n,d,k,sum,floor_root,root\n1,1,3,14,3,\n",
+    ),
+    (
+        ("trace", "--n", "1", "--d", "1", "--k", "3", "--format", "csv"),
+        "n,d,k,prime,obstruction,valuation,quotient\n1,1,3,3,MOD3_QUOTIENT,0,14\n",
+    ),
+    (
+        ("trace", "--n", "5", "--d", "5", "--k", "5", "--format", "csv"),
+        "n,d,k,prime,obstruction,valuation,quotient\n5,5,5,5,VALUATION_PARITY,3,\n",
+    ),
 ]
 
 
@@ -170,6 +194,13 @@ def test_format_env_variable_sets_default():
         "classify", "--p", "7", "--format", "json", env_extra={"APSQUARES_FORMAT": "csv"}
     )
     assert proc.stdout == '{"legendre3":-1,"mod12":7,"p":7}\n'
+
+
+def test_unrecognised_format_env_value_falls_back_to_json():
+    for value in ("xml", "CSV", ""):
+        proc = run_cli("classify", "--p", "7", env_extra={"APSQUARES_FORMAT": value})
+        assert proc.returncode == 0
+        assert proc.stdout == '{"legendre3":-1,"mod12":7,"p":7}\n'
 
 
 def test_text_format_is_human_oriented():
@@ -294,3 +325,15 @@ def test_cli_checkpoint_mismatch_is_exit_2(tmp_path):
     )
     assert proc.returncode == 2
     assert "fingerprint" in json.loads(proc.stderr.strip())["error"]
+
+
+def test_cli_checkpoint_file_error_is_exit_2(tmp_path):
+    # Exit 1 means a counterexample; a path that cannot be used must not read as one.
+    for ckpt in (tmp_path, tmp_path / "missing" / "run.ckpt"):
+        proc = run_cli(
+            "verify", "--p", "5", "--max-n", "5", "--max-d", "5", "--checkpoint", str(ckpt)
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and str(ckpt) in json.loads(lines[0])["error"]

@@ -215,6 +215,13 @@ def test_checkpoint_malformed_line(tmp_path):
         verify_no_solutions(5, 30, 12, checkpoint=str(path))
 
 
+def test_checkpoint_non_ascii_byte_rejected(tmp_path):
+    path = tmp_path / "binary.ckpt"
+    path.write_bytes(b"k=5 n_max=30 d_max=12 sieve=0\n\xff\n")
+    with pytest.raises(CheckpointMismatch, match="binary.ckpt"):
+        verify_no_solutions(5, 30, 12, checkpoint=str(path))
+
+
 def test_checkpoint_torn_tail_is_cut_before_append(tmp_path):
     full = verify_no_solutions(5, 30, 12)
     fingerprint = "k=5 n_max=30 d_max=12 sieve=0"
