@@ -11,14 +11,6 @@ from dataclasses import dataclass
 
 from .residues import is_prime
 
-# Quadratic residues mod 64 as a bitmask. Only 12 of 64 residue classes
-# contain squares, so the mask rejects ~81% of non-squares before an
-# isqrt is paid for; it never rejects an actual square.
-_SQ64_MASK = 0
-for _i in range(64):
-    _SQ64_MASK |= 1 << (_i * _i % 64)
-del _i
-
 
 @dataclass(frozen=True)
 class PAdicSplit:
@@ -44,8 +36,6 @@ def is_perfect_square(x: int) -> int | None:
     """Return the root t with t*t == x, or None when x is not a square."""
     if x < 0:
         raise ValueError("negative integers are never perfect squares")
-    if not (_SQ64_MASK >> (x & 63)) & 1:
-        return None
     r = math.isqrt(x)
     return r if r * r == x else None
 

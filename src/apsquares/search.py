@@ -5,8 +5,9 @@ row boundary is both the checkpoint granularity and the natural sharding
 line. `verify_no_solutions` is the falsification harness for window
 lengths where squares are impossible; it always scans the full grid and
 never assumes the result it is checking. `find_solutions` discovers
-square windows and can prune with the mod-p ratio sieve. Every cell
-either route inspects goes through the one row kernel `_scan_row`.
+square windows and can prune with the mod-p ratio sieve. Both check
+their arguments and then run one driver, `_scan_grid`, whose every row
+goes through the one row kernel `_scan_row`.
 
 The kernel decides a row without visiting most of its cells. A perfect
 square is a square modulo every m, and S(n, d, k) mod m depends only on
@@ -28,22 +29,24 @@ sieved and unsieved runs return identical solution lists, and only
 `windows_checked` differs. It counts every cell the sieve leaves,
 including those the residue tables reject, as decided.
 
-Checkpoint files are line-oriented text. Line 1 is the parameter
-fingerprint ``k=<k> n_max=<n> d_max=<d> sieve=<0|1>``; each subsequent
-line is ``done d=<value>`` for a fully completed row. Only
-newline-terminated lines count: a torn final line left by an
-interrupted append is ignored and cut off before the next append.
-Resuming against a file whose fingerprint does not match the requested
-run, or that names a row outside [1, d_max], is a hard error.
+Checkpoint files are line-oriented text, opened once and read, cut and
+appended through that one handle. Line 1 is the parameter fingerprint
+``k=<k> n_max=<n> d_max=<d> sieve=<0|1>``; each subsequent line is
+``done d=<value>`` for a fully completed row. Only newline-terminated
+lines count: a torn final line left by an interrupted append is ignored
+and cut off before the next append. Resuming against a file whose
+fingerprint does not match the requested run, or that names a row
+outside [1, d_max], is a hard error.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import compress
+from typing import BinaryIO
 
 from .apsum import APWindow, window_sum_sq_closed
 from .obstruction import residue_sieve
@@ -196,21 +199,15 @@ def _record(solutions: list[tuple[int, int, int]], k: int, n: int, d: int, t: in
     solutions.append((n, d, t))
 
 
-def _fingerprint(k: int, n_max: int, d_max: int, sieve: bool) -> str:
-    return f"k={k} n_max={n_max} d_max={d_max} sieve={int(sieve)}"
-
-
-def _load_done_rows(path: str, fingerprint: str, d_max: int) -> tuple[set[int], int]:
-    """Completed d rows in a checkpoint file and the length of its
+def _load_done_rows(fh: BinaryIO, fingerprint: str, d_max: int) -> tuple[set[int], int]:
+    """Completed d rows in an open checkpoint file and the length of its
     newline-terminated prefix; a torn final line counts for nothing."""
-    if not os.path.exists(path):
-        return set(), 0
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    fh.seek(0)
+    raw = fh.read()
     try:
         data = raw.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise CheckpointMismatch(f"checkpoint {path!r} is not an ASCII checkpoint file") from exc
+        raise CheckpointMismatch(f"checkpoint {fh.name!r} is not an ASCII checkpoint file") from exc
     committed = data[: data.rfind("\n") + 1]
     lines = committed.splitlines()
     if not lines:
@@ -233,6 +230,50 @@ def _load_done_rows(path: str, fingerprint: str, d_max: int) -> tuple[set[int], 
             raise CheckpointMismatch(f"checkpoint row d={d} is outside [1, {d_max}]")
         done.add(d)
     return done, len(committed)
+
+
+def _scan_grid(
+    k: int,
+    n_max: int,
+    d_max: int,
+    inverses: tuple[int, ...] | None,
+    checkpoint: str | None,
+) -> SearchReport:
+    """Scan every row d in [1, d_max] and report; `inverses` enables the
+    sieve in rows with k not dividing d, and `checkpoint` resumes from and
+    marks rows done in the named file (see the module docstring)."""
+    start = time.perf_counter()
+    fingerprint = f"k={k} n_max={n_max} d_max={d_max} sieve={int(inverses is not None)}"
+    tables = _row_tables(k, n_max)
+    solutions: list[tuple[int, int, int]] = []
+    done: set[int] = set()
+    with open(checkpoint, "a+b") if checkpoint is not None else nullcontext() as ckpt:
+        if ckpt is not None:
+            done, committed = _load_done_rows(ckpt, fingerprint, d_max)
+            ckpt.truncate(committed)
+            if not committed:
+                ckpt.write(f"{fingerprint}\n".encode("ascii"))
+                ckpt.flush()
+        for d in range(1, d_max + 1):
+            if d in done:
+                continue
+            hits = _scan_row(k, d, 1, n_max, tables=tables, inverses=inverses if d % k else None)
+            for n, root in hits:
+                _record(solutions, k, n, d, root)
+            if ckpt is not None and not hits:
+                ckpt.write(f"done d={d}\n".encode("ascii"))
+                ckpt.flush()
+    windows = n_max * d_max if inverses is None else _sieved_cells(k, n_max, d_max, inverses)
+    return SearchReport(
+        k=k,
+        n_range=(1, n_max),
+        d_range=(1, d_max),
+        windows_checked=windows,
+        solutions=tuple(solutions),
+        sieve_used=inverses is not None,
+        elapsed=time.perf_counter() - start,
+        checkpoint_state=checkpoint,
+    )
 
 
 def verify_no_solutions(
@@ -260,45 +301,7 @@ def verify_no_solutions(
                 f"3 is a quadratic residue mod {p}; square windows may exist "
                 "there, use find_solutions instead"
             )
-    start = time.perf_counter()
-    fingerprint = _fingerprint(p, n_max, d_max, sieve=False)
-    done, committed = _load_done_rows(checkpoint, fingerprint, d_max) if checkpoint else (set(), 0)
-
-    tables = _row_tables(p, n_max)
-    solutions: list[tuple[int, int, int]] = []
-    windows = 0
-    ckpt = None
-    try:
-        if checkpoint:
-            ckpt = open(checkpoint, "a", encoding="ascii")
-            ckpt.truncate(committed)
-            if not committed:
-                ckpt.write(fingerprint + "\n")
-                ckpt.flush()
-        for d in range(1, d_max + 1):
-            if d in done:
-                windows += n_max
-                continue
-            hits = _scan_row(p, d, 1, n_max, tables=tables)
-            windows += n_max
-            for n, root in hits:
-                _record(solutions, p, n, d, root)
-            if ckpt is not None and not hits:
-                ckpt.write(f"done d={d}\n")
-                ckpt.flush()
-    finally:
-        if ckpt is not None:
-            ckpt.close()
-    return SearchReport(
-        k=p,
-        n_range=(1, n_max),
-        d_range=(1, d_max),
-        windows_checked=windows,
-        solutions=tuple(solutions),
-        sieve_used=False,
-        elapsed=time.perf_counter() - start,
-        checkpoint_state=checkpoint,
-    )
+    return _scan_grid(p, n_max, d_max, inverses=None, checkpoint=checkpoint)
 
 
 def find_solutions(
@@ -321,28 +324,11 @@ def find_solutions(
             "is trivially a square"
         )
     _validate_bounds(n_max, d_max)
-    start = time.perf_counter()
-    sieve_active = bool(use_sieve) and k >= 5 and is_prime(k)
     # In a row with k not dividing d, a square needs n = d * r^-1 (mod k)
     # for an admissible ratio r, so never k | n. There, with n = k*m,
     # S = k^3 m^2 + k^2 (k-1) m d + k d^2 (k-1)(2k-1)/6 has v_k(S) = 1:
     # the last term is k times a unit, as (k-1)(2k-1)/6 = 1/6 (mod k).
-    inverses = tuple(pow(r, -1, k) for r in residue_sieve(k)) if sieve_active else None
-    tables = _row_tables(k, n_max)
-
-    solutions: list[tuple[int, int, int]] = []
-    for d in range(1, d_max + 1):
-        row_inverses = inverses if d % k else None
-        for n, root in _scan_row(k, d, 1, n_max, tables=tables, inverses=row_inverses):
-            _record(solutions, k, n, d, root)
-    windows = n_max * d_max if inverses is None else _sieved_cells(k, n_max, d_max, inverses)
-    return SearchReport(
-        k=k,
-        n_range=(1, n_max),
-        d_range=(1, d_max),
-        windows_checked=windows,
-        solutions=tuple(solutions),
-        sieve_used=sieve_active,
-        elapsed=time.perf_counter() - start,
-        checkpoint_state=None,
-    )
+    inverses = None
+    if use_sieve and k >= 5 and is_prime(k):
+        inverses = tuple(pow(r, -1, k) for r in residue_sieve(k))
+    return _scan_grid(k, n_max, d_max, inverses=inverses, checkpoint=None)

@@ -329,7 +329,7 @@ def test_cli_checkpoint_mismatch_is_exit_2(tmp_path):
 
 def test_cli_checkpoint_file_error_is_exit_2(tmp_path):
     # Exit 1 means a counterexample; a path that cannot be used must not read as one.
-    for ckpt in (tmp_path, tmp_path / "missing" / "run.ckpt"):
+    for ckpt in (tmp_path, tmp_path / "missing" / "run.ckpt", ""):
         proc = run_cli(
             "verify", "--p", "5", "--max-n", "5", "--max-d", "5", "--checkpoint", str(ckpt)
         )

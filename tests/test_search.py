@@ -43,9 +43,13 @@ def test_verify_pinned_grids():
     assert verify_no_solutions(7, 200, 200).solutions == ()
 
 
-def test_verify_domain():
+def test_verify_domain(tmp_path):
     with pytest.raises(ValueError):
         verify_no_solutions(11, 10, 10)  # 3 is a residue mod 11
+    path = tmp_path / "refused.ckpt"
+    with pytest.raises(ValueError):
+        verify_no_solutions(11, 10, 10, checkpoint=str(path))
+    assert not path.exists()  # a refused run leaves no checkpoint behind
     with pytest.raises(ValueError):
         verify_no_solutions(13, 10, 10)
     with pytest.raises(ValueError):
@@ -177,7 +181,7 @@ def test_checkpoint_file_format(tmp_path):
     path = str(tmp_path / "run.ckpt")
     report = verify_no_solutions(5, 30, 12, checkpoint=path)
     assert report.checkpoint_state == path
-    lines = open(path, encoding="ascii").read().splitlines()
+    lines = (tmp_path / "run.ckpt").read_text(encoding="ascii").splitlines()
     assert lines[0] == "k=5 n_max=30 d_max=12 sieve=0"
     assert lines[1:] == [f"done d={d}" for d in range(1, 13)]
 
@@ -203,6 +207,7 @@ def test_checkpoint_fingerprint_mismatch(tmp_path):
     path.write_text("k=7 n_max=30 d_max=12 sieve=0\ndone d=1\n", encoding="ascii")
     with pytest.raises(CheckpointMismatch):
         verify_no_solutions(5, 30, 12, checkpoint=str(path))
+    assert path.read_bytes() == b"k=7 n_max=30 d_max=12 sieve=0\ndone d=1\n"  # left untouched
 
 
 def test_checkpoint_malformed_line(tmp_path):
@@ -236,6 +241,7 @@ def test_checkpoint_torn_tail_is_cut_before_append(tmp_path):
     path.write_text("k=7 n_max", encoding="ascii")  # torn, but another run's
     with pytest.raises(CheckpointMismatch):
         verify_no_solutions(5, 30, 12, checkpoint=str(path))
+    assert path.read_bytes() == b"k=7 n_max"  # not cut: the tail is another run's
 
 
 def test_checkpoint_torn_row_number_is_not_done(tmp_path, monkeypatch):
