@@ -5,8 +5,9 @@ progression. Its sum of squares has the closed form
 
     S = k*n^2 + k*(k-1)*n*d + [k*(k-1)*(2k-1)/6]*d^2
 
-which this module evaluates exactly alongside the term-by-term sum, plus
-the decision of whether S is a perfect square.
+a quadratic form in (n, d) with coefficients `window_form(k)`, which this
+module evaluates exactly alongside the term-by-term sum, plus the
+decision of whether S is a perfect square.
 """
 
 from __future__ import annotations
@@ -65,12 +66,18 @@ def window_sum_sq_direct(window: APWindow) -> int:
     return sum((n + i * d) ** 2 for i in range(k))
 
 
-def window_sum_sq_closed(window: APWindow) -> int:
-    """Sum of squared terms via the closed form; equals the direct sum."""
-    n, d, k = window.n, window.d, window.k
+def window_form(k: int) -> tuple[int, int, int]:
+    """The coefficients (a, b, c) of S(n, d, k) = a*n^2 + b*n*d + c*d^2."""
     # k(k-1)(2k-1) is always divisible by 6: k(k-1) is even, and one of
     # k-1, k, 2k-1 is divisible by 3.
-    return k * n * n + k * (k - 1) * n * d + k * (k - 1) * (2 * k - 1) // 6 * d * d
+    return k, k * (k - 1), k * (k - 1) * (2 * k - 1) // 6
+
+
+def window_sum_sq_closed(window: APWindow) -> int:
+    """Sum of squared terms via the closed form; equals the direct sum."""
+    a, b, c = window_form(window.k)
+    n, d = window.n, window.d
+    return a * n * n + b * n * d + c * d * d
 
 
 def check_window_square(window: APWindow) -> SquareOutcome:

@@ -14,8 +14,6 @@ terminated by SIGTERM.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import signal
@@ -45,7 +43,7 @@ class _Output:
 
 def _print_error(message: str) -> None:
     # Every failure leaves a single machine-parsable record on stderr.
-    print(json.dumps({"error": message}, sort_keys=True, separators=(",", ":")), file=sys.stderr)
+    sys.stderr.write(render_json({"error": message}))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,12 +68,10 @@ def render_json(payload: dict[str, Any]) -> str:
 
 
 def render_csv(header: list[str], rows: list[list[Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if item is None else item for item in row])
-    return buf.getvalue()
+    # Every cell is an int, None or an obstruction name, so none needs quoting.
+    return "".join(
+        ",".join("" if item is None else str(item) for item in row) + "\n" for row in [header, *rows]
+    )
 
 
 def render(output: _Output, columns: str, fmt: str) -> str:

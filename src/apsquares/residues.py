@@ -111,8 +111,8 @@ def sqrt_mod_prime(a: int, p: int) -> tuple[int, int] | None:
     """Solve x^2 = a (mod p) for an odd prime p with p not dividing a.
 
     Returns the two incongruent roots as (smaller, larger), or None when
-    a is a non-residue. Tonelli-Shanks, with the direct exponent shortcut
-    for p = 3 (mod 4).
+    a is a non-residue. Tonelli-Shanks; for p = 3 (mod 4) its loop takes
+    no step, so x = a^((p+1)/4).
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"sqrt_mod_prime requires an odd prime, got {p}")
@@ -121,30 +121,23 @@ def sqrt_mod_prime(a: int, p: int) -> tuple[int, int] | None:
         raise ValueError(f"{p} divides a; the zero case is the caller's")
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        x = pow(a, (p + 1) // 4, p)
-    else:
-        q = p - 1
-        s = 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c = pow(z, q, p)
-        x = pow(a, (q + 1) // 2, p)
-        t = pow(a, q, p)
-        m = s
-        while t != 1:
-            i = 0
-            t2 = t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            x = x * b % p
-            c = b * b % p
-            t = t * c % p
-            m = i
+    # p - 1 = q * 2^m with q odd.
+    m = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> m
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    x = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        x = x * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
     return (x, p - x) if x < p - x else (p - x, x)

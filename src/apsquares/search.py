@@ -10,16 +10,17 @@ their arguments and then run one driver, `_scan_grid`, whose every row
 goes through the one row kernel `_scan_row`.
 
 The kernel decides a row without visiting most of its cells. A perfect
-square is a square modulo every m, and S(n, d, k) mod m depends only on
-n mod m and d mod m. For each modulus m in (64, 9, 5, 7, 11, 13) that is
-coprime to k, a table built once per run holds, per d mod m, a byte per
-cell marking the n whose S is a square mod m. The kernel ANDs these
-tiles into a selector, and only the cells that survive (about 3%) have
-S evaluated and an exact `math.isqrt` taken. A modulus sharing a factor
-with k is never used: for length p the mod-p test is the nonexistence
-theorem itself (it rejects every length-5 cell), so `verify` would
-assume what it checks. Rows longer than a block of 4096 cells are
-selected block by block, so the tables stay bounded.
+square is a square modulo every m, and S(n, d, k), the quadratic form
+`window_form(k)` in (n, d), depends mod m only on n mod m and d mod m.
+For each modulus m in (64, 9, 5, 7, 11, 13) that is coprime to k, a
+table built once per run holds, per d mod m, a byte per cell marking the
+n whose S is a square mod m. The kernel ANDs these tiles into a
+selector, and only the cells that survive (about 3%) have S evaluated
+and an exact `math.isqrt` taken. A modulus sharing a factor with k is
+never used: for length p the mod-p test is the nonexistence theorem
+itself (it rejects every length-5 cell), so `verify` would assume what
+it checks. Rows longer than a block of 4096 cells are selected block by
+block, so the tables stay bounded.
 
 The sieve applies to prime k >= 5. A row with k | d is scanned in full.
 In a row with k not dividing d, the selector also keeps only the
@@ -32,11 +33,11 @@ including those the residue tables reject, as decided.
 Checkpoint files are line-oriented text, opened once and read, cut and
 appended through that one handle. Line 1 is the parameter fingerprint
 ``k=<k> n_max=<n> d_max=<d> sieve=<0|1>``; each subsequent line is
-``done d=<value>`` for a fully completed row. Only newline-terminated
-lines count: a torn final line left by an interrupted append is ignored
-and cut off before the next append. Resuming against a file whose
-fingerprint does not match the requested run, or that names a row
-outside [1, d_max], is a hard error.
+``done d=<d>``, spelled exactly as written, for a completed row. Only
+newline-terminated lines count: a torn final line left by an interrupted
+append is ignored and cut off before the next append. Resuming against a
+file whose fingerprint does not match the run, that holds any other
+line, or that names a row outside [1, d_max], is a hard error.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import BinaryIO
 
-from .apsum import APWindow, window_sum_sq_closed
+from .apsum import APWindow, window_form, window_sum_sq_closed
 from .obstruction import residue_sieve
 from .residues import is_prime, legendre_euler
 
@@ -105,9 +106,10 @@ class _RowTables:
     n = lo + i of the block starting at lo; ANDing tiles intersects the
     cell sets they select. `squares` holds, for each modulus m, one
     tile per d mod m, repeating with period m from n = 1 and long
-    enough to be shifted by up to m - 1 cells.
+    enough to be shifted by up to m - 1 cells. `form` is `window_form(k)`.
     """
 
+    form: tuple[int, int, int]
     width: int
     every_cell: int
     every_kth_cell: int
@@ -116,7 +118,7 @@ class _RowTables:
 
 def _row_tables(k: int, n_max: int) -> _RowTables:
     width = min(n_max, _BLOCK)
-    a, b, c = k, k * (k - 1), k * (k - 1) * (2 * k - 1) // 6
+    a, b, c = form = window_form(k)
     squares = []
     for m in _MODULI:
         if math.gcd(m, k) > 1:
@@ -131,6 +133,7 @@ def _row_tables(k: int, n_max: int) -> _RowTables:
         )
         squares.append((m, tiles))
     return _RowTables(
+        form=form,
         width=width,
         every_cell=_bytes_tile(b"\x01", width),
         every_kth_cell=_bytes_tile(b"\x01".ljust(min(k, width), b"\x00"), width),
@@ -155,8 +158,8 @@ def _scan_row(
     of the cells n = d * inverse (mod k). Only the surviving cells have
     S evaluated and an exact isqrt taken.
     """
-    b = k * (k - 1) * d
-    c = d * d * (k * (k - 1) * (2 * k - 1) // 6)
+    a, b, c = tables.form
+    b, c = b * d, c * d * d
     width = tables.width
     hits = []
     isqrt = math.isqrt
@@ -174,7 +177,7 @@ def _scan_row(
         if not selector:
             continue
         for n in compress(range(lo, min(lo + width, n_hi + 1)), selector.to_bytes(width, "little")):
-            s = k * n * n + b * n + c
+            s = a * n * n + b * n + c
             root = isqrt(s)
             if root * root == s:
                 hits.append((n, root))
@@ -220,12 +223,13 @@ def _load_done_rows(fh: BinaryIO, fingerprint: str, d_max: int) -> tuple[set[int
         )
     done = set()
     for line in lines[1:]:
-        if not line.startswith("done d="):
-            raise CheckpointMismatch(f"malformed checkpoint line {line!r}")
+        # Only the writer's spelling counts; int() also takes "03", "+3", "1_0".
         try:
-            d = int(line[len("done d="):])
-        except ValueError as exc:
-            raise CheckpointMismatch(f"malformed checkpoint line {line!r}") from exc
+            d = int(line.removeprefix("done d="))
+        except ValueError:
+            d = 0
+        if line != f"done d={d}":
+            raise CheckpointMismatch(f"malformed checkpoint line {line!r}")
         if not 1 <= d <= d_max:
             raise CheckpointMismatch(f"checkpoint row d={d} is outside [1, {d_max}]")
         done.add(d)

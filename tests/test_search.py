@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import apsquares.search as search
-from apsquares.apsum import APWindow, window_sum_sq_closed
+from apsquares.apsum import APWindow, window_form, window_sum_sq_closed
 from apsquares.search import (
     CheckpointMismatch,
     find_solutions,
@@ -212,12 +212,14 @@ def test_checkpoint_fingerprint_mismatch(tmp_path):
 
 def test_checkpoint_malformed_line(tmp_path):
     path = tmp_path / "bad.ckpt"
-    path.write_text("k=5 n_max=30 d_max=12 sieve=0\ndone d=oops\n", encoding="ascii")
-    with pytest.raises(CheckpointMismatch):
-        verify_no_solutions(5, 30, 12, checkpoint=str(path))
-    path.write_text("k=5 n_max=30 d_max=12 sieve=0\nrow 3 finished\n", encoding="ascii")
-    with pytest.raises(CheckpointMismatch):
-        verify_no_solutions(5, 30, 12, checkpoint=str(path))
+    # int() accepts the last five; only the writer's exact "done d=<row>" counts.
+    for line in ("done d=oops", "row 3 finished", "done d=1_0", "done d=+3", "done d= 3",
+                 "done d=03", "done d=3 "):
+        content = f"k=5 n_max=30 d_max=12 sieve=0\n{line}\n"
+        path.write_text(content, encoding="ascii")
+        with pytest.raises(CheckpointMismatch, match="malformed"):
+            verify_no_solutions(5, 30, 12, checkpoint=str(path))
+        assert path.read_text(encoding="ascii") == content
 
 
 def test_checkpoint_non_ascii_byte_rejected(tmp_path):
@@ -340,6 +342,7 @@ def test_row_kernel_finds_scaled_solutions_past_2_64(k, n, d, t):
 def test_row_tables_match_residue_enumeration(k):
     n_max = 40
     tables = search._row_tables(k, n_max)
+    assert tables.form == window_form(k)
     assert tables.width == n_max
     for m, tiles in tables.squares:
         squares_mod_m = {x * x % m for x in range(m)}
