@@ -46,6 +46,11 @@ def padic_split(x: int, p: int) -> PAdicSplit:
         raise ValueError("p-adic split is only defined for positive integers")
     if not is_prime(p):
         raise ValueError(f"p-adic split requires a prime base, got {p}")
+    return _split(x, p)
+
+
+def _split(x: int, p: int) -> PAdicSplit:
+    """padic_split for x >= 1 and a prime p the caller has already checked."""
     v = 0
     while x % p == 0:
         x //= p

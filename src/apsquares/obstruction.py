@@ -6,12 +6,12 @@ square, writing n = p^e*N, d = p^f*D with N, D coprime to p forces
     6*N^2 - 6*N*D + D^2 = 0  (mod p)        (when e = f)
 
 and from that congruence [K*(3N - D)]^2 = 3 (mod p) with K the inverse
-of N, i.e. 3 must be a quadratic residue of p. When 3 is a non-residue
-the congruence is unsatisfiable, and the p-adic valuation of 6*S comes
-out odd -- incompatible with a square. This module computes those
-obstructions as checkable exact-integer reports, handles the length-3
-case by its own mod-3 analysis, and inverts the congruence into a
-residue sieve on the ratio d/n for primes where 3 is a residue.
+of N, i.e. 3 must be a quadratic residue of p. For p = 5, 7 (mod 12) it
+is not, the congruence is unsatisfiable, and v_p(6*S) comes out odd --
+incompatible with a square. This module computes those obstructions as
+checkable exact-integer reports, handles length 3 by its own mod-3
+analysis, and inverts the congruence into a residue sieve on d/n where
+3 is a residue. A trace checks its prime once, then splits unchecked.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .apsum import APWindow, window_sum_sq_closed
-from .exactarith import PAdicSplit, modinv, padic_split
-from .residues import is_prime, legendre_euler, sqrt_mod_prime
+from .exactarith import PAdicSplit, _split, modinv
+from .residues import is_prime, sqrt_mod_prime
 
 # Obstruction kinds carried by TraceReport. The tracing operations below
 # refuse the configurations where a square (hence no obstruction) is
@@ -111,15 +111,15 @@ def valuation_law(window: APWindow) -> TraceReport:
             f"window length must be a prime >= 5, got {p}"
             + ("; length 3 is handled by trace_length3" if p == 3 else "")
         )
-    if legendre_euler(3, p) != -1:
+    if p % 12 in (1, 11):
         raise ValueError(
             f"3 is a quadratic residue mod {p}; the valuation law is not "
             "guaranteed there and square windows may exist"
         )
-    n_split = padic_split(window.n, p)
-    d_split = padic_split(window.d, p)
+    n_split = _split(window.n, p)
+    d_split = _split(window.d, p)
     total = window_sum_sq_closed(window)
-    scaled = padic_split(6 * total, p)
+    scaled = _split(6 * total, p)
     min_exp = min(n_split.valuation, d_split.valuation)
     if scaled.valuation != 2 * min_exp + 1:
         raise RuntimeError(
@@ -152,7 +152,7 @@ def trace_length3(window: APWindow) -> TraceReport:
     if window.k != 3:
         raise ValueError(f"trace_length3 requires a window of length 3, got {window.k}")
     total = window_sum_sq_closed(window)
-    split = padic_split(total, 3)
+    split = _split(total, 3)
     v, quotient = split.valuation, split.unit
     if v % 2 == 0 and quotient % 3 != 2:
         raise RuntimeError(
@@ -163,8 +163,8 @@ def trace_length3(window: APWindow) -> TraceReport:
     return TraceReport(
         window=window,
         prime=3,
-        n_split=padic_split(window.n, 3),
-        d_split=padic_split(window.d, 3),
+        n_split=_split(window.n, 3),
+        d_split=_split(window.d, 3),
         obstruction=kind,
         details={
             "sum": total,

@@ -12,7 +12,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # n below this bound (Sorenson & Webster). Beyond it the same witnesses
 # give a strong probable-prime verdict with no known counterexample.
 DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
-_WITNESSES = _SMALL_PRIMES
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

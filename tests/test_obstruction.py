@@ -4,8 +4,12 @@ import math
 
 import pytest
 from conftest import direct_square_sum
+from hypothesis import given
+from hypothesis import strategies as st
 
+from apsquares import exactarith, obstruction, residues
 from apsquares.apsum import APWindow
+from apsquares.exactarith import padic_split
 from apsquares.obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
@@ -177,6 +181,82 @@ def test_trace_length3_total_on_grid():
                 assert report.obstruction == MOD3_QUOTIENT
                 assert v % 2 == 0
                 assert quotient % 3 == 2
+
+
+def test_traces_check_the_prime_at_most_once(monkeypatch):
+    # Every module binding of is_prime is counted, so a validation
+    # reached through padic_split or legendre_euler shows up too.
+    calls = []
+    real = residues.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for module in (residues, exactarith, obstruction):
+        monkeypatch.setattr(module, "is_prime", counting)
+    windows = (APWindow(1, 1, 5), APWindow(25, 10, 5), APWindow(7**3, 49, 7), APWindow(3, 2, 17))
+    for window in windows:
+        calls.clear()
+        valuation_law(window)
+        assert len(calls) <= 1, (window, calls)
+    for window in (APWindow(1, 1, 3), APWindow(9, 27, 3)):
+        calls.clear()
+        trace_length3(window)
+        assert len(calls) <= 1, (window, calls)
+
+
+M61 = 2**61 - 1  # a Mersenne prime, 7 (mod 12)
+
+
+def _expanded_square_sum(n: int, d: int, k: int) -> int:
+    # sum (n + i d)^2 over i < k, with sum i and sum i^2 in closed form;
+    # the term-by-term oracle cannot take 2^61 terms.
+    return k * n * n + n * d * k * (k - 1) + d * d * (k - 1) * k * (2 * k - 1) // 6
+
+
+@given(
+    k=st.sampled_from((3, 5, 7, 17, M61)),
+    e=st.integers(0, 4),
+    f=st.integers(0, 4),
+    u=st.integers(1, 2**200 - 1),
+    w=st.integers(1, 2**200 - 1),
+)
+def test_trace_matches_oracles_on_big_windows(k, e, f, u, w):
+    n, d = k**e * u, k**f * w
+    report = trace_length3(APWindow(n, d, k)) if k == 3 else valuation_law(APWindow(n, d, k))
+    assert report.n_split == padic_split(n, k)
+    assert report.d_split == padic_split(d, k)
+    total = _expanded_square_sum(n, d, k)
+    if k < 100:
+        assert total == direct_square_sum(n, d, k)
+    assert report.details["sum"] == total
+    assert report.details["valuation"] == _vp(total if k == 3 else 6 * total, k)
+
+
+def test_domain_error_messages_are_pinned():
+    cases = [
+        (lambda: valuation_law(APWindow(1, 1, 4)), "window length must be a prime >= 5, got 4"),
+        (
+            lambda: valuation_law(APWindow(1, 1, 3)),
+            "window length must be a prime >= 5, got 3; length 3 is handled by trace_length3",
+        ),
+        (
+            lambda: valuation_law(APWindow(18, 1, 11)),
+            "3 is a quadratic residue mod 11; the valuation law is not "
+            "guaranteed there and square windows may exist",
+        ),
+        (
+            lambda: trace_length3(APWindow(1, 1, 5)),
+            "trace_length3 requires a window of length 3, got 5",
+        ),
+        (lambda: padic_split(0, 5), "p-adic split is only defined for positive integers"),
+        (lambda: padic_split(8, 4), "p-adic split requires a prime base, got 4"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_residue_sieve_pinned_values():
