@@ -12,9 +12,8 @@ decision of whether S is a perfect square.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from .exactarith import isqrt
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,6 @@ def window_sum_sq_closed(window: APWindow) -> int:
 def check_window_square(window: APWindow) -> SquareOutcome:
     """Decide whether the window's sum of squares is a perfect square."""
     total = window_sum_sq_closed(window)
-    floor_root = isqrt(total)
+    floor_root = math.isqrt(total)
     root = floor_root if floor_root * floor_root == total else None
     return SquareOutcome(sum=total, floor_root=floor_root, root=root)

@@ -7,8 +7,8 @@ output is canonical (sorted keys, no insignificant whitespace); integers
 beyond 2^53 - 1 are emitted as decimal strings so double-precision JSON
 consumers stay exact. Exit codes: 0 success, 1 when verify finds a
 counterexample, 2 for usage or domain errors and for a checkpoint file
-that cannot be opened, read or written, 130 when interrupted, 143 when
-terminated by SIGTERM.
+that cannot be opened, read or written, 3 when an internal check fails,
+130 when interrupted, 143 when terminated by SIGTERM.
 """
 
 from __future__ import annotations
@@ -289,6 +289,10 @@ def main(argv: list[str] | None = None) -> int:
         # OSError: an unusable checkpoint path, which exit 1 would report as a counterexample.
         _print_error(str(exc))
         return 2
+    except RuntimeError as exc:
+        # A failed internal check is a bug, neither bad input nor a counterexample.
+        _print_error(str(exc))
+        return 3
     except KeyboardInterrupt:
         # Completed rows are already flushed to any checkpoint.
         _print_error("interrupted")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .apsum import APWindow, window_sum_sq_closed
-from .exactarith import PAdicSplit, _split, modinv
+from .exactarith import PAdicSplit, _split
 from .residues import is_prime, sqrt_mod_prime
 
 # Obstruction kinds carried by TraceReport. The tracing operations below
@@ -85,7 +85,7 @@ def obstruction_witness(n_unit: int, d_unit: int, p: int) -> ObstructionWitness:
     _require_unit_pair(n_unit, d_unit, p)
     n_res = n_unit % p
     d_res = d_unit % p
-    inverse = modinv(n_res, p)
+    inverse = pow(n_res, -1, p)
     witness = (inverse * (3 * n_res - d_res)) ** 2 % p
     return ObstructionWitness(
         prime=p,

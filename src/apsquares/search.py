@@ -51,7 +51,7 @@ from typing import BinaryIO
 
 from .apsum import APWindow, window_form, window_sum_sq_closed
 from .obstruction import residue_sieve
-from .residues import is_prime, legendre_euler
+from .residues import is_prime
 
 
 class CheckpointMismatch(ValueError):
@@ -212,7 +212,8 @@ def _load_done_rows(fh: BinaryIO, fingerprint: str, d_max: int) -> tuple[set[int
     except UnicodeDecodeError as exc:
         raise CheckpointMismatch(f"checkpoint {fh.name!r} is not an ASCII checkpoint file") from exc
     committed = data[: data.rfind("\n") + 1]
-    lines = committed.splitlines()
+    # The writer ends lines with "\n" alone; splitlines() would also split at "\r", "\x0c", ...
+    lines = committed.split("\n")[:-1]
     if not lines:
         if not (fingerprint + "\n").startswith(data):
             raise CheckpointMismatch(f"checkpoint {data!r} does not match the requested run {fingerprint!r}")
@@ -288,19 +289,19 @@ def verify_no_solutions(
 ) -> SearchReport:
     """Exhaustively confirm the absence of square windows of length p.
 
-    Accepts p = 3 and primes p >= 5 with 3 a quadratic non-residue of p;
-    for those lengths no square window exists, so a non-empty solution
-    list is a counterexample and is reported rather than suppressed.
-    The full grid is scanned without pruning. With `checkpoint`, rows are
-    marked done as they complete and a resumed run reproduces the
-    uninterrupted report; rows that contained a solution are never marked
-    done, so a resume rediscovers them.
+    Accepts p = 3 and the primes p = 5, 7 (mod 12), those with 3 a
+    quadratic non-residue of p; for those lengths no square window
+    exists, so a non-empty solution list is a counterexample and is
+    reported rather than suppressed. The full grid is scanned without
+    pruning. With `checkpoint`, rows are marked done as they complete and
+    a resumed run reproduces the uninterrupted report; rows that contained
+    a solution are never marked done, so a resume rediscovers them.
     """
     _validate_bounds(n_max, d_max)
     if p != 3:
         if p < 5 or not is_prime(p):
             raise ValueError(f"p must be 3 or a prime >= 5, got {p}")
-        if legendre_euler(3, p) != -1:
+        if p % 12 in (1, 11):
             raise ValueError(
                 f"3 is a quadratic residue mod {p}; square windows may exist "
                 "there, use find_solutions instead"

@@ -11,6 +11,7 @@ import time
 import pytest
 
 import apsquares.cli as cli
+import apsquares.search as search
 from apsquares.search import SearchReport
 
 
@@ -226,6 +227,18 @@ def test_counterexample_exit_code_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.out)["solutions"] == [[18, 1, 77]]
+
+
+def test_internal_check_failure_is_exit_3_not_counterexample(monkeypatch, capsys):
+    # A fake hit fails _record's re-verification: a broken scan, which
+    # exit 1 would report as a counterexample.
+    monkeypatch.setattr(search, "_scan_row", lambda *args, **kwargs: [(1, 1)])
+    code = cli.main(["verify", "--p", "5", "--max-n", "3", "--max-d", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "re-verification" in json.loads(lines[0])["error"]
 
 
 def test_keyboard_interrupt_is_exit_130_with_error_record(monkeypatch, capsys):

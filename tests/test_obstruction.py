@@ -7,7 +7,7 @@ from conftest import direct_square_sum
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apsquares import exactarith, obstruction, residues
+from apsquares import exactarith, obstruction, residues, search
 from apsquares.apsum import APWindow
 from apsquares.exactarith import padic_split
 from apsquares.obstruction import (
@@ -185,7 +185,8 @@ def test_trace_length3_total_on_grid():
 
 def test_traces_check_the_prime_at_most_once(monkeypatch):
     # Every module binding of is_prime is counted, so a validation
-    # reached through padic_split or legendre_euler shows up too.
+    # reached through padic_split or legendre_euler shows up too. verify
+    # checks its length as a trace does.
     calls = []
     real = residues.is_prime
 
@@ -193,7 +194,7 @@ def test_traces_check_the_prime_at_most_once(monkeypatch):
         calls.append(n)
         return real(n)
 
-    for module in (residues, exactarith, obstruction):
+    for module in (residues, exactarith, obstruction, search):
         monkeypatch.setattr(module, "is_prime", counting)
     windows = (APWindow(1, 1, 5), APWindow(25, 10, 5), APWindow(7**3, 49, 7), APWindow(3, 2, 17))
     for window in windows:
@@ -204,6 +205,10 @@ def test_traces_check_the_prime_at_most_once(monkeypatch):
         calls.clear()
         trace_length3(window)
         assert len(calls) <= 1, (window, calls)
+    for p in (3, 5, 7, 89):
+        calls.clear()
+        search.verify_no_solutions(p, 3, 2)
+        assert len(calls) <= 1, (p, calls)
 
 
 M61 = 2**61 - 1  # a Mersenne prime, 7 (mod 12)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import apsquares.search as search
 from apsquares.apsum import APWindow, window_form, window_sum_sq_closed
+from apsquares.obstruction import residue_sieve, trace_length3, valuation_law
+from apsquares.residues import is_prime
 from apsquares.search import (
     CheckpointMismatch,
     find_solutions,
@@ -58,6 +60,25 @@ def test_verify_domain(tmp_path):
         verify_no_solutions(2, 10, 10)
     with pytest.raises(ValueError):
         verify_no_solutions(5, 0, 10)
+
+
+def _refuses(run):
+    try:
+        run()
+    except ValueError:
+        return True
+    return False
+
+
+def test_verify_accepts_exactly_the_traceable_lengths():
+    # verify's domain against two other engines: the trace's gates, and
+    # for primes the ratio sieve, empty exactly when 3 is a non-residue.
+    for p in (*range(-2, 3000), 2**61 - 1, 2**61 + 1, 2**89 - 1):
+        refused = _refuses(lambda: verify_no_solutions(p, 1, 1))
+        trace = trace_length3 if p == 3 else valuation_law
+        assert refused == _refuses(lambda: trace(APWindow(1, 1, p))), p
+        if p >= 5 and is_prime(p):
+            assert refused == bool(residue_sieve(p)), p
 
 
 def test_find_pinned_solutions():
@@ -204,22 +225,26 @@ def test_checkpoint_resume_after_every_row(tmp_path):
 
 def test_checkpoint_fingerprint_mismatch(tmp_path):
     path = tmp_path / "other.ckpt"
-    path.write_text("k=7 n_max=30 d_max=12 sieve=0\ndone d=1\n", encoding="ascii")
-    with pytest.raises(CheckpointMismatch):
-        verify_no_solutions(5, 30, 12, checkpoint=str(path))
-    assert path.read_bytes() == b"k=7 n_max=30 d_max=12 sieve=0\ndone d=1\n"  # left untouched
+    # The second is this run's fingerprint joined to a row by "\x1e", not "\n".
+    for content in (b"k=7 n_max=30 d_max=12 sieve=0\ndone d=1\n",
+                    b"k=5 n_max=30 d_max=12 sieve=0\x1edone d=7\n"):
+        path.write_bytes(content)
+        with pytest.raises(CheckpointMismatch):
+            verify_no_solutions(5, 30, 12, checkpoint=str(path))
+        assert path.read_bytes() == content  # left untouched
 
 
 def test_checkpoint_malformed_line(tmp_path):
     path = tmp_path / "bad.ckpt"
-    # int() accepts the last five; only the writer's exact "done d=<row>" counts.
+    # int() accepts "1_0" through "3 "; only the writer's exact "done d=<row>" counts.
+    # splitlines() would read the last two as rows, breaking at "\x0c" and "\r".
     for line in ("done d=oops", "row 3 finished", "done d=1_0", "done d=+3", "done d= 3",
-                 "done d=03", "done d=3 "):
-        content = f"k=5 n_max=30 d_max=12 sieve=0\n{line}\n"
-        path.write_text(content, encoding="ascii")
+                 "done d=03", "done d=3 ", "done d=1\x0cdone d=2", "done d=1\r"):
+        content = f"k=5 n_max=30 d_max=12 sieve=0\n{line}\n".encode("ascii")
+        path.write_bytes(content)
         with pytest.raises(CheckpointMismatch, match="malformed"):
             verify_no_solutions(5, 30, 12, checkpoint=str(path))
-        assert path.read_text(encoding="ascii") == content
+        assert path.read_bytes() == content  # read_text() would turn "\r\n" into "\n"
 
 
 def test_checkpoint_non_ascii_byte_rejected(tmp_path):
@@ -246,15 +271,15 @@ def test_checkpoint_torn_tail_is_cut_before_append(tmp_path):
     assert path.read_bytes() == b"k=7 n_max"  # not cut: the tail is another run's
 
 
-def test_checkpoint_torn_row_number_is_not_done(tmp_path, monkeypatch):
+def test_checkpoint_torn_row_number_is_not_done(tmp_path):
     # A torn "done d=25" reads "done d=2"; row 2 holds a counterexample
-    # here, so trusting the torn line would lose it.
-    monkeypatch.setattr(search, "legendre_euler", lambda a, p: -1)
+    # here, so trusting the torn line would lose it. verify's driver runs
+    # past its gate, which refuses p = 11, where square windows exist.
     path = tmp_path / "torn.ckpt"
     path.write_text("k=11 n_max=40 d_max=25 sieve=0\ndone d=2", encoding="ascii")
-    report = search.verify_no_solutions(11, 40, 25, checkpoint=str(path))
+    report = search._scan_grid(11, 40, 25, None, str(path))
     assert (36, 2, 154) in report.solutions
-    assert report.solutions == search.verify_no_solutions(11, 40, 25).solutions
+    assert report.solutions == find_solutions(11, 40, 25).solutions
 
 
 def test_checkpoint_row_outside_grid_rejected(tmp_path):
@@ -273,17 +298,16 @@ def test_checkpoint_empty_file_is_fresh(tmp_path):
     assert path.read_text(encoding="ascii").splitlines()[0] == "k=5 n_max=10 d_max=4 sieve=0"
 
 
-def test_counterexample_reported_and_not_checkpointed(tmp_path, monkeypatch):
-    # Force the gate open for p = 11, where genuine square windows exist,
-    # to exercise the falsification path end to end.
-    monkeypatch.setattr(search, "legendre_euler", lambda a, p: -1)
+def test_counterexample_reported_and_not_checkpointed(tmp_path):
+    # Run verify's driver past its gate for p = 11, where genuine square
+    # windows exist, to exercise the falsification path end to end.
     path = tmp_path / "ce.ckpt"
-    report = search.verify_no_solutions(11, 30, 2, checkpoint=str(path))
-    assert report.solutions == ((18, 1, 77),)
+    report = search._scan_grid(11, 30, 2, None, str(path))
+    assert report.solutions == ((18, 1, 77),) == find_solutions(11, 30, 2).solutions
     lines = path.read_text(encoding="ascii").splitlines()
     assert "done d=1" not in lines  # the counterexample row stays unmarked
     assert "done d=2" in lines
-    resumed = search.verify_no_solutions(11, 30, 2, checkpoint=str(path))
+    resumed = search._scan_grid(11, 30, 2, None, str(path))
     assert resumed.solutions == ((18, 1, 77),)  # resume rediscovers it
 
 
