@@ -193,7 +193,8 @@ def _verify(args: argparse.Namespace) -> _Output:
 
 
 def _search(args: argparse.Namespace) -> _Output:
-    k = _checked_prime_param(args.k, "--k")
+    # Only the sieve asks whether k is prime.
+    k = _checked_prime_param(args.k, "--k") if args.sieve else args.k
     report = find_solutions(k, args.max_n, args.max_d, use_sieve=args.sieve)
     sieved = ", sieved" if report.sieve_used else ""
     lines = [

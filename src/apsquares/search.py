@@ -30,14 +30,14 @@ sieved and unsieved runs return identical solution lists, and only
 `windows_checked` differs. It counts every cell the sieve leaves,
 including those the residue tables reject, as decided.
 
-Checkpoint files are line-oriented text, opened once and read, cut and
-appended through that one handle. Line 1 is the parameter fingerprint
-``k=<k> n_max=<n> d_max=<d> sieve=<0|1>``; each subsequent line is
-``done d=<d>``, spelled exactly as written, for a completed row. Only
-newline-terminated lines count: a torn final line left by an interrupted
-append is ignored and cut off before the next append. Resuming against a
-file whose fingerprint does not match the run, that holds any other
-line, or that names a row outside [1, d_max], is a hard error.
+Checkpoint files are newline-ended ASCII lines, opened once and read,
+cut and appended through that one handle. The header line is the
+fingerprint ``k=<k> n_max=<n> d_max=<d> sieve=<0|1>``; each later line
+is ``done d=<d>``, spelled exactly as written, for a completed row. A
+file belongs to the run when it and the header line are prefixes of one
+another; whatever follows its last newline, a torn header included, is
+a torn line, cut once every other line has passed. Any other line, or a
+row outside [1, d_max], is a hard error that leaves the file untouched.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ def _validate_bounds(n_max: int, d_max: int) -> None:
 _MODULI = (64, 9, 5, 7, 11, 13)
 # Cells per selector block; longer rows are scanned block by block.
 _BLOCK = 4096
+# A completed row's checkpoint line, as written and as read back.
+_ROW_LINE = "done d={}\n"
 
 
 def _bytes_tile(period: bytes, width: int) -> int:
@@ -202,39 +204,41 @@ def _record(solutions: list[tuple[int, int, int]], k: int, n: int, d: int, t: in
     solutions.append((n, d, t))
 
 
-def _load_done_rows(fh: BinaryIO, fingerprint: str, d_max: int) -> tuple[set[int], int]:
-    """Completed d rows in an open checkpoint file and the length of its
-    newline-terminated prefix; a torn final line counts for nothing."""
+def _resume_rows(fh: BinaryIO, fingerprint: str, d_max: int) -> set[int]:
+    """Completed d rows in an open checkpoint file. Only once every line
+    has passed is the torn final line cut and, if no line is left, the
+    header written."""
     fh.seek(0)
-    raw = fh.read()
     try:
-        data = raw.decode("ascii")
+        data = fh.read().decode("ascii")
     except UnicodeDecodeError as exc:
         raise CheckpointMismatch(f"checkpoint {fh.name!r} is not an ASCII checkpoint file") from exc
-    committed = data[: data.rfind("\n") + 1]
-    # The writer ends lines with "\n" alone; splitlines() would also split at "\r", "\x0c", ...
-    lines = committed.split("\n")[:-1]
-    if not lines:
-        if not (fingerprint + "\n").startswith(data):
-            raise CheckpointMismatch(f"checkpoint {data!r} does not match the requested run {fingerprint!r}")
-        return set(), 0
-    if lines[0] != fingerprint:
+    header = fingerprint + "\n"
+    # Split at the writer's "\n" alone, not also at "\r", "\x0c", ... as splitlines() does. The
+    # last item is the torn final line, empty if there is none; a torn header is one too.
+    lines = data.split("\n")
+    if not (data.startswith(header) or header.startswith(data)):
         raise CheckpointMismatch(
             f"checkpoint fingerprint {lines[0]!r} does not match the requested run {fingerprint!r}"
         )
     done = set()
-    for line in lines[1:]:
-        # Only the writer's spelling counts; int() also takes "03", "+3", "1_0".
+    for line in lines[1:-1]:
+        # The parse only proposes a row: int() also takes "03", "+3", "1_0", so
+        # the line counts only if it is the writer's spelling of that row.
         try:
-            d = int(line.removeprefix("done d="))
+            d = int(line.rpartition("=")[2])
         except ValueError:
             d = 0
-        if line != f"done d={d}":
+        if line + "\n" != _ROW_LINE.format(d):
             raise CheckpointMismatch(f"malformed checkpoint line {line!r}")
         if not 1 <= d <= d_max:
             raise CheckpointMismatch(f"checkpoint row d={d} is outside [1, {d_max}]")
         done.add(d)
-    return done, len(committed)
+    fh.truncate(len(data) - len(lines[-1]))
+    if len(lines) == 1:
+        fh.write(header.encode("ascii"))
+        fh.flush()
+    return done
 
 
 def _scan_grid(
@@ -251,14 +255,8 @@ def _scan_grid(
     fingerprint = f"k={k} n_max={n_max} d_max={d_max} sieve={int(inverses is not None)}"
     tables = _row_tables(k, n_max)
     solutions: list[tuple[int, int, int]] = []
-    done: set[int] = set()
     with open(checkpoint, "a+b") if checkpoint is not None else nullcontext() as ckpt:
-        if ckpt is not None:
-            done, committed = _load_done_rows(ckpt, fingerprint, d_max)
-            ckpt.truncate(committed)
-            if not committed:
-                ckpt.write(f"{fingerprint}\n".encode("ascii"))
-                ckpt.flush()
+        done = set() if ckpt is None else _resume_rows(ckpt, fingerprint, d_max)
         for d in range(1, d_max + 1):
             if d in done:
                 continue
@@ -266,7 +264,7 @@ def _scan_grid(
             for n, root in hits:
                 _record(solutions, k, n, d, root)
             if ckpt is not None and not hits:
-                ckpt.write(f"done d={d}\n".encode("ascii"))
+                ckpt.write(_ROW_LINE.format(d).encode("ascii"))
                 ckpt.flush()
     windows = n_max * d_max if inverses is None else _sieved_cells(k, n_max, d_max, inverses)
     return SearchReport(

@@ -6,12 +6,9 @@ anywhere in this suite.
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
 
-from conftest import direct_square_sum, primes_below
+from conftest import direct_square_sum, primes_below, run_cli
 
 from apsquares.apsum import APWindow, window_sum_sq_closed
 from apsquares.exactarith import padic_split
@@ -38,15 +35,6 @@ def _vp(x: int, p: int) -> int:
 
 def _announce(number: int, started: float, message: str) -> None:
     print(f"ACCEPTANCE {number:02d} PASS ({time.perf_counter() - started:.1f}s): {message}")
-
-
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "apsquares", *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ),
-    )
 
 
 def test_c01_length3_grid_and_traces():
@@ -210,22 +198,22 @@ def test_c10_cli_golden_outputs_and_checkpoint_resume(tmp_path):
         ),
     ]
     for argv, expected in pinned:
-        first = _run_cli(*argv)
-        second = _run_cli(*argv)
+        first = run_cli(*argv)
+        second = run_cli(*argv)
         assert first.returncode == 0, first.stderr
         assert first.stdout == expected
         assert second.stdout == first.stdout
     assert json.loads(pinned[2][1])["solutions"] == []
 
     ckpt = tmp_path / "acceptance.ckpt"
-    uninterrupted = _run_cli("verify", "--p", "17", "--max-n", "60", "--max-d", "12")
-    full = _run_cli(
+    uninterrupted = run_cli("verify", "--p", "17", "--max-n", "60", "--max-d", "12")
+    full = run_cli(
         "verify", "--p", "17", "--max-n", "60", "--max-d", "12", "--checkpoint", str(ckpt)
     )
     assert full.stdout == uninterrupted.stdout
     lines = ckpt.read_text(encoding="ascii").splitlines()
     ckpt.write_text("\n".join(lines[:6]) + "\n", encoding="ascii")  # crash after 5 rows
-    resumed = _run_cli(
+    resumed = run_cli(
         "verify", "--p", "17", "--max-n", "60", "--max-d", "12", "--checkpoint", str(ckpt)
     )
     assert resumed.returncode == 0

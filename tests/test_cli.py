@@ -1,7 +1,6 @@
 """Golden-output and exit-code tests for the command-line interface."""
 
 import json
-import os
 import signal
 import subprocess
 import sys
@@ -9,22 +8,11 @@ import threading
 import time
 
 import pytest
+from conftest import run_cli
 
 import apsquares.cli as cli
 import apsquares.search as search
 from apsquares.search import SearchReport
-
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "apsquares", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
 
 
 GOLDEN = [
@@ -112,6 +100,18 @@ def test_search_json_payload():
     assert data["solutions"] == [[18, 1, 77], [38, 1, 143]]
     assert data["sieve"] is False
     assert data["windows"] == 50
+
+
+def test_search_k_checked_for_primality_only_with_sieve():
+    # An even k past the deterministic range: without the sieve no
+    # primality verdict is used, so it is not refused.
+    argv = ("search", "--k", str(cli.DETERMINISTIC_LIMIT + 1), "--max-n", "3", "--max-d", "3")
+    plain = run_cli(*argv)
+    assert plain.returncode == 0, plain.stderr
+    assert '"windows":9' in plain.stdout
+    sieved = run_cli(*argv, "--sieve")
+    assert sieved.returncode == 2
+    assert "deterministic" in json.loads(sieved.stderr)["error"]
 
 
 def test_search_sieve_flag_prunes_without_changing_solutions():

@@ -282,6 +282,34 @@ def test_checkpoint_torn_row_number_is_not_done(tmp_path):
     assert report.solutions == find_solutions(11, 40, 25).solutions
 
 
+def test_checkpoint_resume_from_every_byte_prefix(tmp_path):
+    # Row 1 holds hits, so it is never marked done. Each prefix is a file
+    # some interrupted write could leave, a torn header included.
+    path = tmp_path / "prefix.ckpt"
+    full = search._scan_grid(11, 40, 25, None, str(path))
+    finished = path.read_bytes()
+    assert b"done d=1\n" not in finished
+    for cut in range(len(finished) + 1):
+        path.write_bytes(finished[:cut])
+        resumed = search._scan_grid(11, 40, 25, None, str(path))
+        assert _essence(resumed) == _essence(full)
+        assert path.read_bytes() == finished
+
+
+def test_checkpoint_corrupt_header_byte_rejected(tmp_path):
+    path = tmp_path / "header.ckpt"
+    search._scan_grid(11, 40, 25, None, str(path))
+    finished = path.read_bytes()
+    for i in range(finished.index(b"\n") + 1):
+        corrupt = finished[:i] + b"#" + finished[i + 1 :]
+        # Cut just after the overwritten byte, and at full length.
+        for content in (corrupt[: i + 1], corrupt):
+            path.write_bytes(content)
+            with pytest.raises(CheckpointMismatch):
+                search._scan_grid(11, 40, 25, None, str(path))
+            assert path.read_bytes() == content
+
+
 def test_checkpoint_row_outside_grid_rejected(tmp_path):
     path = tmp_path / "range.ckpt"
     for row in (0, 13, 999):
