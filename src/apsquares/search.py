@@ -1,31 +1,34 @@
 """Grid verification and discovery of perfect-square window sums.
 
-The (n, d) grid is scanned in d-major order: rows are independent, so a
-row boundary is both the checkpoint granularity and the natural sharding
-line. `verify_no_solutions` is the falsification harness for window
-lengths where squares are impossible; it always scans the full grid and
-never assumes the result it is checking. `find_solutions` discovers
-square windows and can prune with the mod-p ratio sieve. Both check
-their arguments and then run one driver, `_scan_grid`, whose every row
-goes through the one row kernel `_scan_row`.
+The (n, d) grid is scanned line by line, a row fixing d or a column
+fixing n. A checkpointed run scans rows in d-major order, a row being
+the checkpoint granularity; any other run scans the longer axis, so a
+tall grid is a few long columns, not many short rows.
+`verify_no_solutions` is the falsification harness for window lengths
+where squares are impossible; it always scans the full grid and never
+assumes the result it is checking. `find_solutions` discovers square
+windows and can prune with the mod-p ratio sieve. Both check their
+arguments and then run one driver, `_scan_grid`, whose every line goes
+through the one line kernel `_scan_row`.
 
-The kernel decides a row without visiting most of its cells. A perfect
+The kernel decides a line without visiting most of its cells. A perfect
 square is a square modulo every m, and S(n, d, k), the quadratic form
-`window_form(k)` in (n, d), depends mod m only on n mod m and d mod m.
-For each modulus m in (64, 9, 5, 7, 11, 13) that is coprime to k, a
-table built once per run holds, per d mod m, a byte per cell marking the
-n whose S is a square mod m. The kernel ANDs these tiles into a
-selector, and only the cells that survive (about 3%) have S evaluated
-and an exact `math.isqrt` taken. A modulus sharing a factor with k is
-never used: for length p the mod-p test is the nonexistence theorem
-itself (it rejects every length-5 cell), so `verify` would assume what
-it checks. Rows longer than a block of 4096 cells are selected block by
+`window_form(k)` in (n, d), depends mod m only on n mod m and d mod m;
+a column reads the form reversed, as a quadratic in d. For each modulus
+m in (64, 9, 5, 7, 11, 13) that is coprime to k, a table built once per
+run holds, per fixed coordinate mod m, a byte per cell marking the cells
+whose S is a square mod m. The kernel ANDs these tiles into a selector,
+and only the cells that survive (about 3%) have S evaluated and an
+exact `math.isqrt` taken. A modulus sharing a factor with k is never
+used: for length p the mod-p test is the nonexistence theorem itself
+(it rejects every length-5 cell), so `verify` would assume what it
+checks. Lines longer than a block of 4096 cells are selected block by
 block, so the tables stay bounded.
 
-The sieve applies to prime k >= 5. A row with k | d is scanned in full.
-In a row with k not dividing d, the selector also keeps only the
-residue classes of n whose ratio d/n mod k is admissible; every other
-cell of the row has odd k-adic valuation, so the sieve is lossless:
+The sieve applies to prime k >= 5. Every cell with k | d is decided,
+and a cell with k not dividing d only when its ratio d/n mod k is
+admissible, a residue class of n along a row and of d along a column.
+Every other cell has odd k-adic valuation, so the sieve is lossless:
 sieved and unsieved runs return identical solution lists, and only
 `windows_checked` differs. It counts every cell the sieve leaves,
 including those the residue tables reject, as decided.
@@ -88,7 +91,7 @@ def _validate_bounds(n_max: int, d_max: int) -> None:
 # Residue-selector moduli; those sharing a factor with k are skipped
 # (see the module docstring).
 _MODULI = (64, 9, 5, 7, 11, 13)
-# Cells per selector block; longer rows are scanned block by block.
+# Cells per selector block; longer lines are scanned block by block.
 _BLOCK = 4096
 # A completed row's checkpoint line, as written and as read back.
 _ROW_LINE = "done d={}\n"
@@ -102,13 +105,15 @@ def _bytes_tile(period: bytes, width: int) -> int:
 
 @dataclass(frozen=True)
 class _RowTables:
-    """Per-length tables of the row kernel, built once per run.
+    """Per-length tables of the line kernel, built once per run.
 
-    A tile is an int holding one 0/1 byte per cell, byte i for the cell
-    n = lo + i of the block starting at lo; ANDing tiles intersects the
-    cell sets they select. `squares` holds, for each modulus m, one
-    tile per d mod m, repeating with period m from n = 1 and long
-    enough to be shifted by up to m - 1 cells. `form` is `window_form(k)`.
+    A line is a row (d fixed, x = n) or a column (n fixed, x = d). A
+    tile is an int holding one 0/1 byte per cell, byte i for the cell
+    x = lo + i of the block starting at lo; ANDing tiles intersects the
+    cell sets they select. `squares` holds, for each modulus m, one tile
+    per fixed coordinate mod m, repeating with period m from x = 1 and
+    long enough to be shifted by up to m - 1 cells. `form` is
+    `window_form(k)` for rows and its reverse for columns.
     """
 
     form: tuple[int, int, int]
@@ -118,9 +123,10 @@ class _RowTables:
     squares: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _row_tables(k: int, n_max: int) -> _RowTables:
-    width = min(n_max, _BLOCK)
-    a, b, c = form = window_form(k)
+def _row_tables(k: int, length: int, form: tuple[int, int, int] | None = None) -> _RowTables:
+    """Tables for lines of `length` cells; `form` defaults to the rows' `window_form(k)`."""
+    width = min(length, _BLOCK)
+    a, b, c = form = form or window_form(k)
     squares = []
     for m in _MODULI:
         if math.gcd(m, k) > 1:
@@ -145,44 +151,47 @@ def _row_tables(k: int, n_max: int) -> _RowTables:
 
 def _scan_row(
     k: int,
-    d: int,
-    n_lo: int,
-    n_hi: int,
+    fixed: int,
+    lo: int,
+    hi: int,
     *,
     tables: _RowTables,
     inverses: tuple[int, ...] | None = None,
 ) -> list[tuple[int, int]]:
-    """Square-check S(n, d, k) for n in [n_lo, n_hi]; (n, root) pairs in
-    ascending n.
+    """Square-check the cells x in [lo, hi] of the row or column (as
+    `tables` says) whose other coordinate is `fixed`; (x, root) pairs in
+    ascending x.
 
     Each block of cells is first narrowed by a selector: the AND of the
-    square tiles for d mod m and, when `inverses` is given, of the tiles
-    of the cells n = d * inverse (mod k). Only the surviving cells have
-    S evaluated and an exact isqrt taken.
+    square tiles for `fixed` mod m and, when `inverses` is given, of the
+    tiles of the cells x = fixed * inverse (mod k), one class for each
+    multiplier in it: a row's inverse ratios, or a column's ratios and
+    0. Only the surviving cells have S evaluated and an exact isqrt
+    taken.
     """
     a, b, c = tables.form
-    b, c = b * d, c * d * d
+    b, c = b * fixed, c * fixed * fixed
     width = tables.width
     hits = []
     isqrt = math.isqrt
-    for lo in range(n_lo, n_hi + 1, width):
+    for block in range(lo, hi + 1, width):
         selector = tables.every_cell
         for m, tiles in tables.squares:
-            selector &= tiles[d % m] >> ((lo - 1) % m * 8)
+            selector &= tiles[fixed % m] >> ((block - 1) % m * 8)
         if selector and inverses is not None:
             admissible = 0
             for inverse in inverses:
-                shift = (d * inverse - lo) % k
+                shift = (fixed * inverse - block) % k
                 if shift < width:
                     admissible |= tables.every_kth_cell << (shift * 8)
             selector &= admissible
         if not selector:
             continue
-        for n in compress(range(lo, min(lo + width, n_hi + 1)), selector.to_bytes(width, "little")):
-            s = a * n * n + b * n + c
+        for x in compress(range(block, min(block + width, hi + 1)), selector.to_bytes(width, "little")):
+            s = a * x * x + b * x + c
             root = isqrt(s)
             if root * root == s:
-                hits.append((n, root))
+                hits.append((x, root))
     return hits
 
 
@@ -248,24 +257,34 @@ def _scan_grid(
     inverses: tuple[int, ...] | None,
     checkpoint: str | None,
 ) -> SearchReport:
-    """Scan every row d in [1, d_max] and report; `inverses` enables the
-    sieve in rows with k not dividing d, and `checkpoint` resumes from and
-    marks rows done in the named file (see the module docstring)."""
+    """Scan every line of the grid and report; `inverses` enables the
+    sieve, and `checkpoint` resumes from and marks rows done in the named
+    file (see the module docstring)."""
     start = time.perf_counter()
     fingerprint = f"k={k} n_max={n_max} d_max={d_max} sieve={int(inverses is not None)}"
-    tables = _row_tables(k, n_max)
+    columns = checkpoint is None and n_max < d_max
+    lines, length = (n_max, d_max) if columns else (d_max, n_max)
+    tables = _row_tables(k, length, window_form(k)[::-1] if columns else None)
+    # A row with k | d is scanned in full. A column keeps what its rows
+    # keep: d = n * r (mod k) for each admissible ratio r, and k | d.
+    multipliers = inverses
+    if columns and inverses is not None:
+        multipliers = tuple(pow(inverse, -1, k) for inverse in inverses) + (0,)
     solutions: list[tuple[int, int, int]] = []
     with open(checkpoint, "a+b") if checkpoint is not None else nullcontext() as ckpt:
         done = set() if ckpt is None else _resume_rows(ckpt, fingerprint, d_max)
-        for d in range(1, d_max + 1):
-            if d in done:
+        for fixed in range(1, lines + 1):
+            if fixed in done:
                 continue
-            hits = _scan_row(k, d, 1, n_max, tables=tables, inverses=inverses if d % k else None)
-            for n, root in hits:
+            sieve = multipliers if columns or fixed % k else None
+            hits = _scan_row(k, fixed, 1, length, tables=tables, inverses=sieve)
+            for x, root in hits:
+                n, d = (fixed, x) if columns else (x, fixed)
                 _record(solutions, k, n, d, root)
             if ckpt is not None and not hits:
-                ckpt.write(_ROW_LINE.format(d).encode("ascii"))
+                ckpt.write(_ROW_LINE.format(fixed).encode("ascii"))
                 ckpt.flush()
+    solutions.sort(key=lambda s: (s[1], s[0]))
     windows = n_max * d_max if inverses is None else _sieved_cells(k, n_max, d_max, inverses)
     return SearchReport(
         k=k,
@@ -315,11 +334,11 @@ def find_solutions(
 ) -> SearchReport:
     """Every (n, d, t) in range with S(n, d, k) = t^2, ascending in (d, n).
 
-    The sieve is applied only for prime k >= 5. Rows with k | d are
-    scanned in full; in every other row only the n classes whose ratio
-    d/n mod k is admissible (none when 3 is a non-residue of k) are
-    decided. The solutions are identical with and without the sieve;
-    `windows_checked` counts the cells the sieve leaves.
+    The sieve is applied only for prime k >= 5. Every cell with k | d is
+    decided; every other cell only when its ratio d/n mod k is admissible
+    (never when 3 is a non-residue of k). The solutions are identical
+    with and without the sieve; `windows_checked` counts the cells the
+    sieve leaves.
     """
     if k < 2:
         raise ValueError(

@@ -51,6 +51,18 @@ GOLDEN = [
         "k,n,d,t\n11,18,1,77\n11,38,1,143\n",
     ),
     (
+        ("search", "--k", "11", "--max-n", "20", "--max-d", "300", "--format", "csv"),
+        "k,n,d,t\n11,18,1,77\n11,2,7,143\n11,4,14,286\n11,12,19,407\n11,6,21,429\n"
+        "11,8,28,572\n11,10,35,715\n11,12,42,858\n11,14,49,1001\n11,16,56,1144\n"
+        "11,18,63,1287\n11,20,70,1430\n11,16,227,4499\n",
+    ),
+    (
+        ("search", "--k", "11", "--max-n", "20", "--max-d", "300", "--format", "json"),
+        '{"k":11,"max_d":300,"max_n":20,"sieve":false,"solutions":[[18,1,77],[2,7,143],'
+        "[4,14,286],[12,19,407],[6,21,429],[8,28,572],[10,35,715],[12,42,858],[14,49,1001],"
+        '[16,56,1144],[18,63,1287],[20,70,1430],[16,227,4499]],"windows":6000}\n',
+    ),
+    (
         ("verify", "--p", "5", "--max-n", "20", "--max-d", "20", "--format", "csv"),
         "k,n,d,t\n",
     ),

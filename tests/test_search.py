@@ -429,3 +429,101 @@ def test_verify_filter_never_uses_the_length_as_modulus(monkeypatch):
         for tables in used:
             assert tables.squares
             assert all(math.gcd(m, p) == 1 for m, _ in tables.squares), p
+
+
+def _sieve_inverses(k):
+    # find_solutions' sieve: the inverses of the admissible ratios, for prime k >= 5.
+    return tuple(pow(r, -1, k) for r in residue_sieve(k)) if k >= 5 and is_prime(k) else None
+
+
+def _count_kept_cells(monkeypatch):
+    # Spy on the kernel and count the cells its class filter leaves: the
+    # whole line, or the cells x = fixed * multiplier (mod k).
+    kept = []
+    real_scan_row = search._scan_row
+
+    def spy(k, fixed, lo, hi, *, tables, inverses=None):
+        if inverses is None:
+            kept.append(hi - lo + 1)
+        else:
+            classes = {fixed * multiplier % k for multiplier in inverses}
+            kept.append(sum(len(range(lo + (c - lo) % k, hi + 1, k)) for c in classes))
+        return real_scan_row(k, fixed, lo, hi, tables=tables, inverses=inverses)
+
+    monkeypatch.setattr(search, "_scan_row", spy)
+    return kept
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 11, 13, 23, 24, 89])
+def test_rows_and_columns_agree(k, tmp_path, monkeypatch):
+    # A checkpoint forces d-major rows; without one a tall grid is
+    # scanned by columns. d_max >= 2k^2 + 2 puts rows with k^2 | d in the
+    # grid; for k = 89 three columns keep the direct-sum oracle quick.
+    kept = _count_kept_cells(monkeypatch)
+    for n_max, d_max in ((7, 600), (20 if k < 89 else 3, max(2 * k * k + 2, 60))):
+        brute = _brute_solutions(k, n_max, d_max)
+        for inverses in dict.fromkeys((None, _sieve_inverses(k))):
+            path = tmp_path / f"{n_max}-{inverses is None}.ckpt"
+            kept.clear()
+            rows = search._scan_grid(k, n_max, d_max, inverses, str(path))
+            assert len(kept) == d_max and sum(kept) == rows.windows_checked
+            kept.clear()
+            columns = search._scan_grid(k, n_max, d_max, inverses, None)
+            assert len(kept) == n_max and sum(kept) == columns.windows_checked
+            assert columns.solutions == rows.solutions == brute, (n_max, d_max, inverses)
+            assert columns.windows_checked == rows.windows_checked
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 17])
+def test_verify_tall_grid_same_with_and_without_checkpoint(p, tmp_path):
+    rows = verify_no_solutions(p, 10, 400, checkpoint=str(tmp_path / "tall.ckpt"))
+    columns = verify_no_solutions(p, 10, 400)
+    assert columns.solutions == rows.solutions == ()
+    assert columns.windows_checked == rows.windows_checked == 4000
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
+def test_column_tables_match_residue_enumeration(k):
+    d_max = 40
+    tables = search._row_tables(k, d_max, window_form(k)[::-1])
+    assert tables.form == window_form(k)[::-1]
+    assert tables.width == d_max
+    for m, tiles in tables.squares:
+        squares_mod_m = {x * x % m for x in range(m)}
+        assert len(tiles) == m
+        for r, tile in enumerate(tiles):
+            for i in range(d_max + m - 1):
+                byte = tile >> (8 * i) & 0xFF
+                # n = r stands for every n = r (mod m).
+                assert byte == (direct_square_sum(r, i + 1, k) % m in squares_mod_m), (m, r, i)
+
+
+def test_column_filter_never_uses_the_length_as_modulus(monkeypatch):
+    # The tall-grid companion of the row test: verify's columns, too,
+    # never filter by a modulus sharing a factor with p.
+    used = []
+    real_scan_row = search._scan_row
+
+    def spy(*args, **kwargs):
+        used.append(kwargs["tables"])
+        return real_scan_row(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_scan_row", spy)
+    lengths = [3] + [p for p in range(5, 200) if search.is_prime(p) and p % 12 in (5, 7)]
+    for p in lengths:
+        used.clear()
+        verify_no_solutions(p, 2, 20)
+        assert len(used) == 2  # one call per column
+        for tables in used:
+            assert tables.form == window_form(p)[::-1]
+            assert tables.squares
+            assert all(math.gcd(m, p) == 1 for m, _ in tables.squares), p
+
+
+@pytest.mark.parametrize("k,n_max,d_max", [(11, 60, 2000), (24, 30, 500)])
+def test_tall_grid_solutions_sorted_by_d_then_n(k, n_max, d_max):
+    for use_sieve in (False, True):
+        sols = find_solutions(k, n_max, d_max, use_sieve=use_sieve).solutions
+        assert len({n for n, _, _ in sols}) > 1  # hits from several columns
+        assert list(sols) == sorted(sols, key=lambda s: (s[1], s[0]))
+        assert list(sols) != sorted(sols)  # so (n, d) order would differ
