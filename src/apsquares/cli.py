@@ -6,8 +6,9 @@ columns and handler. Reports go to stdout, diagnostics to stderr. JSON
 output is canonical (sorted keys, no insignificant whitespace); integers
 beyond 2^53 - 1 are emitted as decimal strings so double-precision JSON
 consumers stay exact. Exit codes: 0 success, 1 when verify finds a
-counterexample, 2 for usage or domain errors and for a checkpoint file
-that cannot be opened, read or written, 3 when an internal check fails,
+counterexample, 2 for usage or domain errors, for a checkpoint file
+that cannot be opened, read or written, and for a stdout that cannot be
+written (such as a closed pipe), 3 when an internal check fails,
 130 when interrupted, 143 when terminated by SIGTERM.
 """
 
@@ -304,7 +305,18 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if trap:
             signal.signal(signal.SIGTERM, previous)
-    sys.stdout.write(render(output, _COMMANDS[args.command].columns, args.format))
+    try:
+        sys.stdout.write(render(output, _COMMANDS[args.command].columns, args.format))
+        sys.stdout.flush()
+    except OSError as exc:
+        # A closed stdout (a reader that went away). Point the descriptor
+        # at the null device, so the interpreter's own flush at exit
+        # neither fails nor prints a second record.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        _print_error(f"cannot write output: {exc}")
+        return 2
     return output.status
 
 

@@ -1,6 +1,13 @@
 """Quadratic-residue machinery: Legendre and Jacobi symbols, the mod-12
 classification of the quadratic character of 3, modular square roots, and
-deterministic primality testing."""
+primality testing.
+
+`is_prime` is trial division by the primes up to 41, then a strong
+(Miller-Rabin) test to the first t prime bases, where t is the fewest
+that the psi_t table of Jaeschke (1993) and Sorenson & Webster (2017)
+proves exact for the size of n. Below DETERMINISTIC_LIMIT every verdict
+is exact; at or beyond it the 14 bases 2..43 give a probable-prime
+verdict."""
 
 from __future__ import annotations
 
@@ -8,10 +15,32 @@ from dataclasses import dataclass
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Strong-pseudoprime witnesses 2..41 decide primality exactly for every
-# n below this bound (Sorenson & Webster). Beyond it the same witnesses
-# give a strong probable-prime verdict with no known counterexample.
+# psi_13: the least strong pseudoprime to all 13 bases 2..41
+# (1287836182261 * 2575672364521; Sorenson & Webster). Every n below it
+# is decided exactly by those bases. Base 43 rejects psi_13 itself, so
+# is_prime runs it too at and beyond this bound, where the verdict is
+# strong probable prime rather than proof.
 DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# (psi_t, the first t prime bases): psi_t is the least strong pseudoprime
+# to those bases (OEIS A014233), so they decide every n < psi_t exactly.
+# Where psi_t = psi_(t+1) only the smaller t is listed.
+_WITNESS_TIERS = tuple(
+    (psi, _SMALL_PRIMES[:t])
+    for psi, t in (
+        (2_047, 1),
+        (1_373_653, 2),
+        (25_326_001, 3),
+        (3_215_031_751, 4),
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),
+        (3_825_123_056_546_413_051, 9),
+        (318_665_857_834_031_151_167_461, 12),
+        (DETERMINISTIC_LIMIT, 13),
+    )
+)
+_PROBABLE_WITNESSES = (*_SMALL_PRIMES, 43)
 
 
 @dataclass(frozen=True)
@@ -24,22 +53,32 @@ class PrimeProfile:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test with a fixed witness set.
+    """Trial division by 2..41, then a Miller-Rabin test to as many bases
+    as the size of n needs.
 
-    Exact for all n < DETERMINISTIC_LIMIT (about 3.3e24); larger inputs
-    get a strong probable-prime answer from the same witnesses.
+    Exact for all n < DETERMINISTIC_LIMIT (about 3.3e24): n < 43^2 needs
+    no base, and otherwise the first t of 2..41 suffice for n < psi_t.
+    Inputs at or beyond the limit get a strong probable-prime verdict
+    from the 14 bases 2..43.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 1849:  # 43^2: n has no prime factor <= 41, so none at all
+        return True
+    for psi, witnesses in _WITNESS_TIERS:
+        if n < psi:
+            break
+    else:
+        witnesses = _PROBABLE_WITNESSES
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _SMALL_PRIMES:
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -1,0 +1,41 @@
+"""Exhaustive check of `is_prime` against a sieve of Eratosthenes.
+
+Compares the two for every n below 26,000,000, which is past psi_3 =
+25,326,001, so the trial-division tier and the Miller-Rabin tiers of
+1, 2 and 3 bases are each proved exact on their whole range. Takes
+about half a minute on one CPU. The file name keeps pytest from
+collecting it; run it directly from the repository root:
+
+    PYTHONPATH=src python tests/exhaustive_primality.py
+"""
+
+from __future__ import annotations
+
+import sys
+
+from apsquares.residues import is_prime
+
+LIMIT = 26_000_000
+
+
+def sieve(limit: int) -> bytearray:
+    flags = bytearray([1]) * limit
+    flags[0] = flags[1] = 0
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return flags
+
+
+def main() -> int:
+    flags = sieve(LIMIT)
+    wrong = [n for n in range(LIMIT) if is_prime(n) != flags[n]]
+    if wrong:
+        print(f"is_prime disagrees with the sieve at {len(wrong)} n, first {wrong[:10]}")
+        return 1
+    print(f"is_prime agrees with the sieve for every n < {LIMIT}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 """Golden-output and exit-code tests for the command-line interface."""
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import threading
 import time
 
 import pytest
-from conftest import run_cli
+from conftest import CLI_TIMEOUT_S, run_cli
 
 import apsquares.cli as cli
 import apsquares.search as search
@@ -362,3 +363,22 @@ def test_cli_checkpoint_file_error_is_exit_2(tmp_path):
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and str(ckpt) in json.loads(lines[0])["error"]
+
+
+def test_closed_stdout_is_exit_2_with_one_error_line():
+    # A reader that went away before the report was written: the read end is closed.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "apsquares", "classify", "--p", "7"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=CLI_TIMEOUT_S,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Broken pipe" in json.loads(lines[0])["error"]

@@ -2,7 +2,7 @@
 
 import pytest
 from conftest import primes_below
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apsquares.residues import (
@@ -53,6 +53,106 @@ def test_is_prime_large_known_values():
     assert is_prime(2**61 - 1)  # Mersenne prime
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert DETERMINISTIC_LIMIT > 2**67 - 1
+
+
+# psi_t (OEIS A014233): the least strong pseudoprime to the first t prime bases.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """One strong (Miller-Rabin) round for odd n > 2 to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _thirteen_base_is_prime(n: int) -> bool:
+    """Trial division by 2..41, then all 13 of those bases: exact below psi_13."""
+    if n < 2:
+        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in _BASES)
+
+
+def test_each_psi_fools_its_bases_but_not_is_prime():
+    for t, psi in enumerate(_PSI, start=1):
+        assert all(_strong_probable_prime(psi, a) for a in _BASES[:t]), t
+        assert not is_prime(psi), t
+    assert _PSI[-1] == DETERMINISTIC_LIMIT
+
+
+def test_is_prime_matches_sieve_below_two_million():
+    # Exhaustive over the trial-division tier (n < 43^2) and the 1- and
+    # 2-base tiers (n < psi_2 = 1373653).
+    limit = 2_000_000
+    primes = set(primes_below(limit))
+    assert [n for n in range(limit) if is_prime(n) != (n in primes)] == []
+
+
+@given(st.sampled_from(_PSI[:-1]), st.integers(-(2**31), 2**31 - 1))
+@example(_PSI[0], 0)
+@example(_PSI[-2], 0)
+def test_is_prime_matches_thirteen_bases_near_each_psi(psi, half_offset):
+    n = psi + 2 * half_offset  # odd, since psi is, and within 2^32 of it
+    assert is_prime(n) == _thirteen_base_is_prime(n)
+
+
+@given(st.integers(1, 2**31))
+@example(1)
+def test_is_prime_matches_thirteen_bases_just_below_the_limit(half_gap):
+    # Beyond the limit the 13 bases are no longer exact, so draw only below it.
+    n = DETERMINISTIC_LIMIT - 2 * half_gap
+    assert is_prime(n) == _thirteen_base_is_prime(n)
+
+
+def test_is_prime_rejects_strong_pseudoprimes_straddling_the_tiers():
+    for n in (
+        3277,
+        4033,
+        4681,
+        1_373_653,
+        25_326_001,
+        3_215_031_751,
+        2_152_302_898_747,
+        3_474_749_660_383,
+        341_550_071_728_321,
+        3_825_123_056_546_413_051,
+        318_665_857_834_031_151_167_461,
+    ):
+        assert not is_prime(n), n
+
+
+def test_deterministic_limit_is_composite():
+    assert 1_287_836_182_261 * 2_575_672_364_521 == DETERMINISTIC_LIMIT
+    assert not is_prime(DETERMINISTIC_LIMIT)
+    with pytest.raises(ValueError):
+        classify_prime_mod12(DETERMINISTIC_LIMIT)
 
 
 def test_legendre_pinned_values():
