@@ -3,9 +3,9 @@
 The library decides perfect-squareness of window sums, classifies odd
 primes by the quadratic character of 3 mod p, produces checkable
 per-instance obstructions for the window lengths where a square sum is
-impossible (length 3, and primes with 3 a non-residue), and searches for
-genuine square windows at the remaining lengths with a lossless residue
-sieve and resumable checkpoints.
+impossible (length 3, and primes with 3 a non-residue), verifies their
+absence on grids with resumable checkpoints, and searches for genuine
+square windows at the remaining lengths with a lossless residue sieve.
 """
 
 from .apsum import (

@@ -279,6 +279,18 @@ def _raise_terminated(signum: int, frame: Any) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact sums outgrow CPython's 4300-digit int <-> str limit (3.10.7 on); lift it for the run.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Only the main thread may install signal handlers.

@@ -26,16 +26,12 @@ class PAdicSplit:
 
 
 def isqrt(x: int) -> int:
-    """Floor square root: the r with r*r <= x < (r+1)*(r+1)."""
-    if x < 0:
-        raise ValueError("isqrt is undefined for negative integers")
+    """Floor square root: the r with r*r <= x < (r+1)*(r+1); x < 0 raises ValueError."""
     return math.isqrt(x)
 
 
 def is_perfect_square(x: int) -> int | None:
-    """Return the root t with t*t == x, or None when x is not a square."""
-    if x < 0:
-        raise ValueError("negative integers are never perfect squares")
+    """The root t with t*t == x, or None when x is not a square; x < 0 raises ValueError."""
     r = math.isqrt(x)
     return r if r * r == x else None
 
@@ -68,9 +64,7 @@ def modpow(base: int, exp: int, mod: int) -> int:
 
 
 def modinv(a: int, p: int) -> int:
-    """The unique K in [1, p) with a*K = 1 (mod p), for prime p."""
+    """The unique K in [1, p) with a*K = 1 (mod p), for prime p not dividing a."""
     if p < 2:
         raise ValueError(f"modulus must be at least 2, got {p}")
-    if a % p == 0:
-        raise ValueError(f"{a} has no inverse modulo {p}")
     return pow(a, -1, p)

@@ -96,6 +96,18 @@ def obstruction_witness(n_unit: int, d_unit: int, p: int) -> ObstructionWitness:
     )
 
 
+def _require_nonresidue_prime(p: int) -> None:
+    """Refuse all but the lengths the valuation law covers: primes p = 5, 7 (mod 12)."""
+    if not is_prime(p) or p < 5:
+        hint = "; length 3 is handled by trace_length3" if p == 3 else ""
+        raise ValueError(f"window length must be a prime >= 5, got {p}{hint}")
+    if p % 12 in (1, 11):
+        raise ValueError(
+            f"3 is a quadratic residue mod {p}; the valuation law is not "
+            "guaranteed there and square windows may exist"
+        )
+
+
 def valuation_law(window: APWindow) -> TraceReport:
     """Obstruction for prime window lengths p >= 5 with 3 a non-residue.
 
@@ -106,16 +118,7 @@ def valuation_law(window: APWindow) -> TraceReport:
     the law is distilled from.
     """
     p = window.k
-    if not is_prime(p) or p < 5:
-        raise ValueError(
-            f"window length must be a prime >= 5, got {p}"
-            + ("; length 3 is handled by trace_length3" if p == 3 else "")
-        )
-    if p % 12 in (1, 11):
-        raise ValueError(
-            f"3 is a quadratic residue mod {p}; the valuation law is not "
-            "guaranteed there and square windows may exist"
-        )
+    _require_nonresidue_prime(p)
     n_split = _split(window.n, p)
     d_split = _split(window.d, p)
     total = window_sum_sq_closed(window)

@@ -53,7 +53,7 @@ from itertools import compress
 from typing import BinaryIO
 
 from .apsum import APWindow, window_form, window_sum_sq_closed
-from .obstruction import residue_sieve
+from .obstruction import _require_nonresidue_prime, residue_sieve
 from .residues import is_prime
 
 
@@ -195,16 +195,6 @@ def _scan_row(
     return hits
 
 
-def _sieved_cells(k: int, n_max: int, d_max: int, inverses: tuple[int, ...]) -> int:
-    """Cells the sieve leaves to decide: every cell of the rows with
-    k | d, and in each other row the cells n = d * inverse (mod k)."""
-    cells = n_max * (d_max // k)
-    for dr in range(1, min(k, d_max + 1)):
-        per_row = sum(len(range(dr * inverse % k, n_max + 1, k)) for inverse in inverses)
-        cells += per_row * len(range(dr, d_max + 1, k))
-    return cells
-
-
 def _record(solutions: list[tuple[int, int, int]], k: int, n: int, d: int, t: int) -> None:
     # Re-verify from scratch before accepting; a failure here means the
     # scan or the sieve is broken, not the input.
@@ -231,11 +221,12 @@ def _resume_rows(fh: BinaryIO, fingerprint: str, d_max: int) -> set[int]:
             f"checkpoint fingerprint {lines[0]!r} does not match the requested run {fingerprint!r}"
         )
     done = set()
+    longest = len(_ROW_LINE.format(d_max))  # no row is spelled longer; int() is quadratic
     for line in lines[1:-1]:
         # The parse only proposes a row: int() also takes "03", "+3", "1_0", so
         # the line counts only if it is the writer's spelling of that row.
         try:
-            d = int(line.rpartition("=")[2])
+            d = int(line.rpartition("=")[2]) if len(line) < longest else 0
         except ValueError:
             d = 0
         if line + "\n" != _ROW_LINE.format(d):
@@ -259,7 +250,8 @@ def _scan_grid(
 ) -> SearchReport:
     """Scan every line of the grid and report; `inverses` enables the
     sieve, and `checkpoint` resumes from and marks rows done in the named
-    file (see the module docstring)."""
+    file (see the module docstring). Every line, done or scanned, adds the
+    cells its `sieve` keeps, or all its cells, to `windows_checked`."""
     start = time.perf_counter()
     fingerprint = f"k={k} n_max={n_max} d_max={d_max} sieve={int(inverses is not None)}"
     columns = checkpoint is None and n_max < d_max
@@ -271,12 +263,17 @@ def _scan_grid(
     if columns and inverses is not None:
         multipliers = tuple(pow(inverse, -1, k) for inverse in inverses) + (0,)
     solutions: list[tuple[int, int, int]] = []
+    windows = 0
     with open(checkpoint, "a+b") if checkpoint is not None else nullcontext() as ckpt:
         done = set() if ckpt is None else _resume_rows(ckpt, fingerprint, d_max)
         for fixed in range(1, lines + 1):
+            sieve = multipliers if columns or fixed % k else None
+            # The whole line, or its cells x = c (mod k) once per kept class c.
+            windows += length if sieve is None else sum(
+                len(range(c or k, length + 1, k)) for c in {fixed * m % k for m in sieve}
+            )
             if fixed in done:
                 continue
-            sieve = multipliers if columns or fixed % k else None
             hits = _scan_row(k, fixed, 1, length, tables=tables, inverses=sieve)
             for x, root in hits:
                 n, d = (fixed, x) if columns else (x, fixed)
@@ -285,7 +282,6 @@ def _scan_grid(
                 ckpt.write(_ROW_LINE.format(fixed).encode("ascii"))
                 ckpt.flush()
     solutions.sort(key=lambda s: (s[1], s[0]))
-    windows = n_max * d_max if inverses is None else _sieved_cells(k, n_max, d_max, inverses)
     return SearchReport(
         k=k,
         n_range=(1, n_max),
@@ -306,23 +302,17 @@ def verify_no_solutions(
 ) -> SearchReport:
     """Exhaustively confirm the absence of square windows of length p.
 
-    Accepts p = 3 and the primes p = 5, 7 (mod 12), those with 3 a
-    quadratic non-residue of p; for those lengths no square window
-    exists, so a non-empty solution list is a counterexample and is
-    reported rather than suppressed. The full grid is scanned without
-    pruning. With `checkpoint`, rows are marked done as they complete and
-    a resumed run reproduces the uninterrupted report; rows that contained
-    a solution are never marked done, so a resume rediscovers them.
+    Accepts p = 3 and, through the valuation law's own gate, the primes
+    p = 5, 7 (mod 12); for those lengths no square window exists, so a
+    non-empty solution list is a counterexample and is reported rather
+    than suppressed. The full grid is scanned without pruning. With
+    `checkpoint`, rows are marked done as they complete and a resumed run
+    reproduces the uninterrupted report; rows that contained a solution
+    are never marked done, so a resume rediscovers them.
     """
     _validate_bounds(n_max, d_max)
     if p != 3:
-        if p < 5 or not is_prime(p):
-            raise ValueError(f"p must be 3 or a prime >= 5, got {p}")
-        if p % 12 in (1, 11):
-            raise ValueError(
-                f"3 is a quadratic residue mod {p}; square windows may exist "
-                "there, use find_solutions instead"
-            )
+        _require_nonresidue_prime(p)
     return _scan_grid(p, n_max, d_max, inverses=None, checkpoint=checkpoint)
 
 

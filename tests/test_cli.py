@@ -9,7 +9,7 @@ import threading
 import time
 
 import pytest
-from conftest import CLI_TIMEOUT_S, run_cli
+from conftest import CLI_TIMEOUT_S, direct_square_sum, run_cli
 
 import apsquares.cli as cli
 import apsquares.search as search
@@ -382,3 +382,46 @@ def test_closed_stdout_is_exit_2_with_one_error_line():
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Broken pipe" in json.loads(lines[0])["error"]
+
+
+# 3000 nines: S(10^3000 - 1, 1, 3) = 3 * 10^6000 + 2, spelled out past
+# CPython's default 4300-digit limit on int <-> str conversion.
+_NINES = "9" * 3000
+_NINES_SUM = "3" + "0" * 5999 + "2"
+
+
+def test_check_prints_sums_past_the_digit_limit():
+    # Checked without str() of a long int, which this process still refuses.
+    assert direct_square_sum(int(_NINES), 1, 3) == 3 * 10**6000 + 2
+    proc = run_cli("check", "--n", _NINES, "--d", "1", "--k", "3")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["sum"] == _NINES_SUM and payload["n"] == _NINES
+    csv = run_cli("check", "--n", _NINES, "--d", "1", "--k", "3", "--format", "csv")
+    assert csv.returncode == 0, csv.stderr
+    header, row = csv.stdout.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["sum"] == _NINES_SUM
+    text = run_cli("check", "--n", _NINES, "--d", "1", "--k", "3", "--format", "text")
+    assert text.returncode == 0, text.stderr
+    assert f"= {_NINES_SUM}, not a perfect square" in text.stdout
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_main_parses_long_integers_and_restores_the_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    n = "7" * 5000
+    assert cli.main(["check", "--n", n, "--d", "1", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == n
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(SystemExit):  # a usage error leaves through argparse
+        cli.main(["check", "--n", "x", "--d", "1", "--k", "2"])
+    capsys.readouterr()
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_cli_overlong_checkpoint_line_is_exit_2_malformed(tmp_path):
+    ckpt = tmp_path / "long.ckpt"
+    ckpt.write_text(f"k=5 n_max=5 d_max=5 sieve=0\ndone d={'1' * 5000}\n", encoding="ascii")
+    proc = run_cli("verify", "--p", "5", "--max-n", "5", "--max-d", "5", "--checkpoint", str(ckpt))
+    assert proc.returncode == 2
+    assert "malformed" in json.loads(proc.stderr)["error"]

@@ -527,3 +527,69 @@ def test_tall_grid_solutions_sorted_by_d_then_n(k, n_max, d_max):
         assert len({n for n, _, _ in sols}) > 1  # hits from several columns
         assert list(sols) == sorted(sols, key=lambda s: (s[1], s[0]))
         assert list(sols) != sorted(sols)  # so (n, d) order would differ
+
+
+def _error(run):
+    try:
+        run()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_verify_refuses_lengths_with_the_valuation_laws_message():
+    # One gate: every length verify refuses, it refuses in the valuation
+    # law's words. No window has a length below 1, so there the law
+    # cannot be asked; its gate's prime-length refusal is pinned instead.
+    for p in range(-2, 3000):
+        if p == 3:
+            continue
+        refused = _error(lambda: verify_no_solutions(p, 1, 1))
+        if p < 1:
+            assert refused == f"window length must be a prime >= 5, got {p}"
+        elif refused is not None:
+            assert refused == _error(lambda: valuation_law(APWindow(1, 1, p))), p
+
+
+@pytest.mark.parametrize("k", [37, 107, 1000033])
+@pytest.mark.parametrize("n_max,d_max", [(20, 7), (7, 20)])
+def test_sieve_with_length_beyond_both_sides(k, n_max, d_max):
+    # 20 x 7 scans rows and 7 x 20 columns, each line shorter than k, so
+    # no line has k | d and a kept class holds at most one cell.
+    ratios = residue_sieve(k)
+    assert ratios  # k = 1, 11 (mod 12)
+    expected = sum(
+        1
+        for d in range(1, d_max + 1)
+        for n in range(1, n_max + 1)
+        if d % k == 0 or any((n * r - d) % k == 0 for r in ratios)
+    )
+    report = find_solutions(k, n_max, d_max, use_sieve=True)
+    assert report.sieve_used
+    assert report.windows_checked == expected
+    if k < 1000:  # the direct sums are too slow for k = 1000033
+        assert report.solutions == _brute_solutions(k, n_max, d_max)
+
+
+def test_overlong_checkpoint_line_is_malformed_without_parsing(tmp_path, monkeypatch):
+    # No row in [1, 12] is spelled longer than "done d=12"; a longer line
+    # must not reach int(), which is quadratic in its digits when the CLI
+    # has lifted CPython's digit limit.
+    parsed = []
+
+    class Spy(int):
+        # The module's int, which also builds its tiles through int.from_bytes.
+        def __new__(cls, value=0, *args):
+            parsed.append(value)
+            return int(value, *args)
+
+    monkeypatch.setattr(search, "int", Spy, raising=False)
+    path = tmp_path / "long.ckpt"
+    for row, error in (("1" * 5000, "malformed"), ("100", "malformed"), ("13", "outside")):
+        content = f"k=5 n_max=30 d_max=12 sieve=0\ndone d={row}\n".encode("ascii")
+        path.write_bytes(content)
+        parsed.clear()
+        with pytest.raises(CheckpointMismatch, match=error):
+            verify_no_solutions(5, 30, 12, checkpoint=str(path))
+        assert (row in parsed) == (error == "outside"), row
+        assert path.read_bytes() == content
