@@ -43,7 +43,9 @@ class _Output:
 
 
 def _print_error(message: str) -> None:
-    # Every failure leaves a single machine-parsable record on stderr.
+    # Every failure leaves a single machine-parsable record on stderr; a long message keeps its ends.
+    if len(message) > 1000:
+        message = f"{message[:500]}...[{len(message) - 1000} characters cut]...{message[-500:]}"
     sys.stderr.write(render_json({"error": message}))
 
 

@@ -25,13 +25,13 @@ used: for length p the mod-p test is the nonexistence theorem itself
 checks. Lines longer than a block of 4096 cells are selected block by
 block, so the tables stay bounded.
 
-The sieve applies to prime k >= 5. Every cell with k | d is decided,
-and a cell with k not dividing d only when its ratio d/n mod k is
-admissible, a residue class of n along a row and of d along a column.
+The sieve applies to prime k >= 5. Its one value, `residue_sieve(k)`,
+holds the admissible ratios d/n mod k; a cell is decided when k | d or
+its ratio is admissible. The driver derives each line's kept residue
+classes, of n along a row and of d along a column, once from the ratios,
+and that one set both counts the line's cells and filters the kernel.
 Every other cell has odd k-adic valuation, so the sieve is lossless:
-sieved and unsieved runs return identical solution lists, and only
-`windows_checked` differs. It counts every cell the sieve leaves,
-including those the residue tables reject, as decided.
+the solution lists are identical, and only `windows_checked` differs.
 
 Checkpoint files are newline-ended ASCII lines, opened once and read,
 cut and appended through that one handle. The header line is the
@@ -156,18 +156,16 @@ def _scan_row(
     hi: int,
     *,
     tables: _RowTables,
-    inverses: tuple[int, ...] | None = None,
+    classes: set[int] | None = None,
 ) -> list[tuple[int, int]]:
     """Square-check the cells x in [lo, hi] of the row or column (as
     `tables` says) whose other coordinate is `fixed`; (x, root) pairs in
     ascending x.
 
     Each block of cells is first narrowed by a selector: the AND of the
-    square tiles for `fixed` mod m and, when `inverses` is given, of the
-    tiles of the cells x = fixed * inverse (mod k), one class for each
-    multiplier in it: a row's inverse ratios, or a column's ratios and
-    0. Only the surviving cells have S evaluated and an exact isqrt
-    taken.
+    square tiles for `fixed` mod m and, when `classes` is given, of the
+    cells x = r (mod k) for each r in it. Only the surviving cells have
+    S evaluated and an exact isqrt taken.
     """
     a, b, c = tables.form
     b, c = b * fixed, c * fixed * fixed
@@ -178,10 +176,10 @@ def _scan_row(
         selector = tables.every_cell
         for m, tiles in tables.squares:
             selector &= tiles[fixed % m] >> ((block - 1) % m * 8)
-        if selector and inverses is not None:
+        if selector and classes is not None:
             admissible = 0
-            for inverse in inverses:
-                shift = (fixed * inverse - block) % k
+            for residue in classes:
+                shift = (residue - block) % k
                 if shift < width:
                     admissible |= tables.every_kth_cell << (shift * 8)
             selector &= admissible
@@ -245,36 +243,37 @@ def _scan_grid(
     k: int,
     n_max: int,
     d_max: int,
-    inverses: tuple[int, ...] | None,
+    ratios: frozenset[int] | None,
     checkpoint: str | None,
 ) -> SearchReport:
-    """Scan every line of the grid and report; `inverses` enables the
+    """Scan every line of the grid and report; `ratios` enables the
     sieve, and `checkpoint` resumes from and marks rows done in the named
-    file (see the module docstring). Every line, done or scanned, adds the
-    cells its `sieve` keeps, or all its cells, to `windows_checked`."""
+    file (see the module docstring). Every line, done or scanned, adds its
+    kept cells, or all its cells, to `windows_checked`."""
     start = time.perf_counter()
-    fingerprint = f"k={k} n_max={n_max} d_max={d_max} sieve={int(inverses is not None)}"
+    fingerprint = f"k={k} n_max={n_max} d_max={d_max} sieve={int(ratios is not None)}"
     columns = checkpoint is None and n_max < d_max
     lines, length = (n_max, d_max) if columns else (d_max, n_max)
     tables = _row_tables(k, length, window_form(k)[::-1] if columns else None)
-    # A row with k | d is scanned in full. A column keeps what its rows
-    # keep: d = n * r (mod k) for each admissible ratio r, and k | d.
-    multipliers = inverses
-    if columns and inverses is not None:
-        multipliers = tuple(pow(inverse, -1, k) for inverse in inverses) + (0,)
+    # A row keeps n = d * r^-1 (mod k) for each ratio r, and all of a row
+    # with k | d. A column keeps what its rows keep: d = n * r, and k | d.
+    multipliers = None
+    if ratios is not None:
+        multipliers = (*ratios, 0) if columns else tuple(pow(r, -1, k) for r in ratios)
     solutions: list[tuple[int, int, int]] = []
     windows = 0
     with open(checkpoint, "a+b") if checkpoint is not None else nullcontext() as ckpt:
         done = set() if ckpt is None else _resume_rows(ckpt, fingerprint, d_max)
         for fixed in range(1, lines + 1):
-            sieve = multipliers if columns or fixed % k else None
-            # The whole line, or its cells x = c (mod k) once per kept class c.
-            windows += length if sieve is None else sum(
-                len(range(c or k, length + 1, k)) for c in {fixed * m % k for m in sieve}
+            sieved = multipliers is not None and (columns or fixed % k)
+            classes = {fixed * m % k for m in multipliers} if sieved else None
+            # The whole line, or its cells x = c (mod k) for each kept class c.
+            windows += length if classes is None else sum(
+                len(range(c or k, length + 1, k)) for c in classes
             )
             if fixed in done:
                 continue
-            hits = _scan_row(k, fixed, 1, length, tables=tables, inverses=sieve)
+            hits = _scan_row(k, fixed, 1, length, tables=tables, classes=classes)
             for x, root in hits:
                 n, d = (fixed, x) if columns else (x, fixed)
                 _record(solutions, k, n, d, root)
@@ -288,7 +287,7 @@ def _scan_grid(
         d_range=(1, d_max),
         windows_checked=windows,
         solutions=tuple(solutions),
-        sieve_used=inverses is not None,
+        sieve_used=ratios is not None,
         elapsed=time.perf_counter() - start,
         checkpoint_state=checkpoint,
     )
@@ -313,7 +312,7 @@ def verify_no_solutions(
     _validate_bounds(n_max, d_max)
     if p != 3:
         _require_nonresidue_prime(p)
-    return _scan_grid(p, n_max, d_max, inverses=None, checkpoint=checkpoint)
+    return _scan_grid(p, n_max, d_max, ratios=None, checkpoint=checkpoint)
 
 
 def find_solutions(
@@ -340,7 +339,5 @@ def find_solutions(
     # for an admissible ratio r, so never k | n. There, with n = k*m,
     # S = k^3 m^2 + k^2 (k-1) m d + k d^2 (k-1)(2k-1)/6 has v_k(S) = 1:
     # the last term is k times a unit, as (k-1)(2k-1)/6 = 1/6 (mod k).
-    inverses = None
-    if use_sieve and k >= 5 and is_prime(k):
-        inverses = tuple(pow(r, -1, k) for r in residue_sieve(k))
-    return _scan_grid(k, n_max, d_max, inverses=inverses, checkpoint=None)
+    ratios = residue_sieve(k) if use_sieve and k >= 5 and is_prime(k) else None
+    return _scan_grid(k, n_max, d_max, ratios=ratios, checkpoint=None)

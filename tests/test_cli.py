@@ -425,3 +425,41 @@ def test_cli_overlong_checkpoint_line_is_exit_2_malformed(tmp_path):
     proc = run_cli("verify", "--p", "5", "--max-n", "5", "--max-d", "5", "--checkpoint", str(ckpt))
     assert proc.returncode == 2
     assert "malformed" in json.loads(proc.stderr)["error"]
+
+
+def test_oversized_error_records_are_capped(tmp_path):
+    # Each message echoes an input of 50000 or more characters; the one
+    # stderr line keeps its first and last 500 characters.
+    ckpt = tmp_path / "long.ckpt"
+    content = f"k=5 n_max=5 d_max=5 sieve=0\ndone d={'1' * 100000}\n".encode("ascii")
+    ckpt.write_bytes(content)
+    resume = ("verify", "--p", "5", "--max-n", "5", "--max-d", "5", "--checkpoint", str(ckpt))
+    check = ("check", "--n", "x" * 100000, "--d", "1", "--k", "3")
+    huge_p = ("verify", "--p", "1" + "0" * 50000, "--max-n", "1", "--max-d", "1")
+    cases = (
+        (resume, "malformed checkpoint line", "'"),
+        (check, "argument --n: invalid int value", "'"),
+        (huge_p, "--p=", "deterministic"),
+    )
+    for argv, head, tail in cases:
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) <= 1100
+        error = json.loads(proc.stderr)["error"]
+        assert error.startswith(head) and tail in error[-500:], error
+        assert "characters cut]" in error
+    assert ckpt.read_bytes() == content
+
+
+@pytest.mark.parametrize("length", [0, 999, 1000, 1001, 50000])
+def test_error_message_is_whole_up_to_1000_characters(length, capsys):
+    message = "".join(chr(ord("a") + i % 26) for i in range(length))
+    cli._print_error(message)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    if length <= 1000:
+        assert error == message
+    else:
+        cut = length - 1000
+        assert error == f"{message[:500]}...[{cut} characters cut]...{message[-500:]}"

@@ -352,10 +352,10 @@ def _kernel_hits(k, d, n_lo, n_hi, sieve):
     # The kernel as find_solutions drives it: the sieve only for prime
     # k >= 5 and only on rows with k not dividing d.
     tables = search._row_tables(k, n_hi - n_lo + 1)
-    inverses = None
+    classes = None
     if sieve and k >= 5 and search.is_prime(k) and d % k:
-        inverses = tuple(pow(r, -1, k) for r in search.residue_sieve(k))
-    return search._scan_row(k, d, n_lo, n_hi, tables=tables, inverses=inverses)
+        classes = {d * pow(r, -1, k) % k for r in search.residue_sieve(k)}
+    return search._scan_row(k, d, n_lo, n_hi, tables=tables, classes=classes)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 11, 12, 13, 23, 89])
@@ -388,6 +388,46 @@ def test_row_kernel_finds_scaled_solutions_past_2_64(k, n, d, t):
         assert (m * n, m * t) in hits
         for hit_n, root in hits:
             assert root * root == direct_square_sum(hit_n, m * d, k)
+
+
+# A known solution (n, d) per length; the other lengths scan lines through (1, 1).
+_SOLVED = {4: (13, 6), 11: (18, 1), 24: (1, 1)}
+
+
+@pytest.mark.parametrize("k", [4, 11, 12, 13, 24, 4099, 30030])
+def test_kernel_keeps_exactly_the_cells_of_its_classes(k):
+    # Class sets no sieve produces, on rows and columns of 1, _BLOCK and
+    # 2 * _BLOCK + 17 cells, from x = 1 and from past 2^40 through a scaled
+    # solution. For k = 30030 no selector modulus is coprime; 4099 > _BLOCK.
+    a, b, c = window_form(k)
+    n0, d0 = _SOLVED.get(k, (1, 1))
+    lengths = (1, _BLOCK, 2 * _BLOCK + 17)
+    hits_seen = 0
+    for columns in (False, True):
+        form = (c, b, a) if columns else None
+        for m in (1, 2**40 + 9):
+            fixed, x0 = (m * n0, m * d0) if columns else (m * d0, m * n0)
+            lo = 1 if m == 1 else x0 - _BLOCK - 5
+            squares = []
+            for x in range(lo, lo + lengths[-1]):
+                n, d = (fixed, x) if columns else (x, fixed)
+                total = a * n * n + b * n * d + c * d * d if k > 100 else direct_square_sum(n, d, k)
+                root = math.isqrt(total)
+                if root * root == total:
+                    squares.append((x, root))
+            hits_seen += len(squares)
+            h = squares[0][0] % k if squares else 1
+            for length in lengths:
+                hi = lo + length - 1
+                line = [hit for hit in squares if hit[0] <= hi]
+                tables = search._row_tables(k, length, form)
+                three = {h, (h + 2) % k, (h + 5) % k}
+                for classes in (None, set(range(k)), set(), {h}, {(h + 1) % k}, three):
+                    kept = [hit for hit in line if classes is None or hit[0] % k in classes]
+                    hits = search._scan_row(k, fixed, lo, hi, tables=tables, classes=classes)
+                    assert hits == kept, (columns, lo, length, classes)
+    if k in _SOLVED:
+        assert hits_seen
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
@@ -432,23 +472,22 @@ def test_verify_filter_never_uses_the_length_as_modulus(monkeypatch):
 
 
 def _sieve_inverses(k):
-    # find_solutions' sieve: the inverses of the admissible ratios, for prime k >= 5.
-    return tuple(pow(r, -1, k) for r in residue_sieve(k)) if k >= 5 and is_prime(k) else None
+    # find_solutions' sieve: the admissible ratios, for prime k >= 5.
+    return residue_sieve(k) if k >= 5 and is_prime(k) else None
 
 
 def _count_kept_cells(monkeypatch):
     # Spy on the kernel and count the cells its class filter leaves: the
-    # whole line, or the cells x = fixed * multiplier (mod k).
+    # whole line, or the cells x = c (mod k) for each class c.
     kept = []
     real_scan_row = search._scan_row
 
-    def spy(k, fixed, lo, hi, *, tables, inverses=None):
-        if inverses is None:
+    def spy(k, fixed, lo, hi, *, tables, classes=None):
+        if classes is None:
             kept.append(hi - lo + 1)
         else:
-            classes = {fixed * multiplier % k for multiplier in inverses}
             kept.append(sum(len(range(lo + (c - lo) % k, hi + 1, k)) for c in classes))
-        return real_scan_row(k, fixed, lo, hi, tables=tables, inverses=inverses)
+        return real_scan_row(k, fixed, lo, hi, tables=tables, classes=classes)
 
     monkeypatch.setattr(search, "_scan_row", spy)
     return kept
