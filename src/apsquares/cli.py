@@ -21,7 +21,7 @@ import signal
 import sys
 import threading
 from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .apsum import APWindow, check_window_square, sum_first_k, sum_sq_first_k
 from .obstruction import trace_length3, valuation_law
@@ -42,10 +42,30 @@ class _Output:
     status: int = 0
 
 
+def _json_width(text: str) -> int:
+    # Bytes `text` takes inside a JSON string: `render_json` escapes quotes, backslashes,
+    # control and non-ASCII characters, an astral one to 12 bytes.
+    return len(json.dumps(text)) - 2
+
+
+def _fitting(chars: Iterable[str], budget: int) -> int:
+    # How many of `chars`, from the first, fit in `budget` bytes of JSON string.
+    kept = 0
+    for char in chars:
+        budget -= _json_width(char)
+        if budget < 0:
+            break
+        kept += 1
+    return kept
+
+
 def _print_error(message: str) -> None:
-    # Every failure leaves a single machine-parsable record on stderr; a long message keeps its ends.
-    if len(message) > 1000:
-        message = f"{message[:500]}...[{len(message) - 1000} characters cut]...{message[-500:]}"
+    # Every failure leaves a single machine-parsable record on stderr; a long message keeps its
+    # ends, each at most 500 bytes once escaped.
+    if _json_width(message) > 1000:
+        head, tail = _fitting(message, 500), _fitting(reversed(message), 500)
+        cut = len(message) - head - tail
+        message = f"{message[:head]}...[{cut} characters cut]...{message[len(message) - tail:]}"
     sys.stderr.write(render_json({"error": message}))
 
 

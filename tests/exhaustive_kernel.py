@@ -1,0 +1,63 @@
+"""Exhaustive check of the grid scans against a cell-by-cell oracle.
+
+For every window length k in 2..64 and every prime k up to 200, on the
+grids 150 x 150 (rows), 5 x 3000 (columns), 3000 x 5 (rows) and
+2 x 9000 (columns crossing two selector blocks), `find_solutions` with
+and without the sieve must list exactly the cells whose `window_form`
+value is a perfect square by `math.isqrt`. For 3 and every prime
+p = 5, 7 (mod 12) up to 200, `verify_no_solutions` must find nothing
+and decide every cell. Takes well under a minute on one CPU. The file
+name keeps pytest from collecting it; run it directly from the
+repository root:
+
+    PYTHONPATH=src python tests/exhaustive_kernel.py
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+from apsquares.apsum import window_form
+from apsquares.search import find_solutions, verify_no_solutions
+
+GRIDS = ((150, 150), (5, 3000), (3000, 5), (2, 9000))
+PRIMES = [p for p in range(2, 201) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+LENGTHS = sorted(set(range(2, 65)) | set(PRIMES))
+VERIFIED = [3] + [p for p in PRIMES if p % 12 in (5, 7)]
+
+
+def oracle(k: int, n_max: int, d_max: int) -> tuple[tuple[int, int, int], ...]:
+    a, b, c = window_form(k)
+    found = []
+    for d in range(1, d_max + 1):
+        for n in range(1, n_max + 1):
+            total = a * n * n + b * n * d + c * d * d
+            root = math.isqrt(total)
+            if root * root == total:
+                found.append((n, d, root))
+    return tuple(found)
+
+
+def main() -> int:
+    wrong = []
+    for n_max, d_max in GRIDS:
+        for k in LENGTHS:
+            expected = oracle(k, n_max, d_max)
+            for use_sieve in (False, True):
+                report = find_solutions(k, n_max, d_max, use_sieve)
+                if report.solutions != expected:
+                    wrong.append(f"find_solutions({k}, {n_max}, {d_max}, {use_sieve})")
+        for p in VERIFIED:
+            report = verify_no_solutions(p, n_max, d_max)
+            if report.solutions or report.windows_checked != n_max * d_max:
+                wrong.append(f"verify_no_solutions({p}, {n_max}, {d_max})")
+    if wrong:
+        print(f"{len(wrong)} scans disagree with the oracle, first {wrong[:10]}")
+        return 1
+    print(f"{len(LENGTHS)} searched and {len(VERIFIED)} verified lengths agree with the oracle")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

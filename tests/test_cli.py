@@ -451,6 +451,26 @@ def test_oversized_error_records_are_capped(tmp_path):
     assert ckpt.read_bytes() == content
 
 
+def test_error_record_caps_escaped_bytes_of_non_ascii_input():
+    # render_json escapes each emoji to 12 bytes; the cap counts those bytes, not characters.
+    proc = run_cli("check", "--n", "\U0001F600" * 5000, "--d", "1", "--k", "3")
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) <= 1100
+    error = json.loads(proc.stderr)["error"]
+    assert error.startswith("argument --n: invalid int value") and "characters cut]" in error
+
+
+@pytest.mark.parametrize("char", ['"', "\\", "\x01"])
+def test_error_record_caps_escaped_bytes_of_escaped_ascii(char, capsys):
+    message = char * 3000
+    cli._print_error(message)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) <= 1100
+    error = json.loads(err)["error"]
+    head, _, tail = error.partition("...[")
+    assert set(head) == {char} and tail.endswith("characters cut]..." + head)
+
+
 @pytest.mark.parametrize("length", [0, 999, 1000, 1001, 50000])
 def test_error_message_is_whole_up_to_1000_characters(length, capsys):
     message = "".join(chr(ord("a") + i % 26) for i in range(length))

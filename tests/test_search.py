@@ -398,7 +398,7 @@ _SOLVED = {4: (13, 6), 11: (18, 1), 24: (1, 1)}
 def test_kernel_keeps_exactly_the_cells_of_its_classes(k):
     # Class sets no sieve produces, on rows and columns of 1, _BLOCK and
     # 2 * _BLOCK + 17 cells, from x = 1 and from past 2^40 through a scaled
-    # solution. For k = 30030 no selector modulus is coprime; 4099 > _BLOCK.
+    # solution. For k = 30030 only the moduli 17, 19 and 23 are coprime; 4099 > _BLOCK.
     a, b, c = window_form(k)
     n0, d0 = _SOLVED.get(k, (1, 1))
     lengths = (1, _BLOCK, 2 * _BLOCK + 17)
@@ -428,6 +428,77 @@ def test_kernel_keeps_exactly_the_cells_of_its_classes(k):
                     assert hits == kept, (columns, lo, length, classes)
     if k in _SOLVED:
         assert hits_seen
+
+
+def test_kernel_keeps_exactly_the_cells_of_its_classes_without_selector_moduli():
+    # k = 2*3*5*...*23 shares a factor with every selector modulus, so its
+    # tables are empty and a line without classes takes every cell. Besides
+    # the rows' and columns' forms, (1, 2, 1) makes S = (x + fixed)^2 a
+    # square at every cell. Class sets cover the line, not all k residues.
+    k = 223092870
+    a, b, c = window_form(k)
+    lengths = (1, _BLOCK, 2 * _BLOCK + 17)
+    for form in ((a, b, c), (c, b, a), (1, 2, 1)):
+        fa, fb, fc = form
+        for fixed in (1, 2**40 + 9):
+            lo = 1 if fixed == 1 else fixed - _BLOCK - 5
+            squares = []
+            for x in range(lo, lo + lengths[-1]):
+                total = fa * x * x + fb * x * fixed + fc * fixed * fixed
+                root = math.isqrt(total)
+                if root * root == total:
+                    squares.append((x, root))
+            if form == (1, 2, 1):
+                assert len(squares) == lengths[-1]
+            for length in lengths:
+                hi = lo + length - 1
+                line = [hit for hit in squares if hit[0] <= hi]
+                tables = search._row_tables(k, length, form)
+                assert not tables.squares
+                every = {x % k for x in range(lo, hi + 1)}
+                for classes in (None, every, set(), {lo % k}, {(lo + 1) % k, hi % k}):
+                    kept = [hit for hit in line if classes is None or hit[0] % k in classes]
+                    hits = search._scan_row(k, fixed, lo, hi, tables=tables, classes=classes)
+                    assert hits == kept, (form, lo, length, classes)
+
+
+@pytest.mark.parametrize("k", [2, 11, 13, 24, 89])
+def test_kernel_takes_isqrt_only_on_selected_cells(k, monkeypatch):
+    # A line's isqrt calls are its cells the sieve keeps whose S is a
+    # square modulo every selector modulus coprime to k, counted here by
+    # brute force: rows and columns, sieve on and off.
+    moduli = [(m, {x * x % m for x in range(m)}) for m in search._MODULI if math.gcd(m, k) == 1]
+    ratios = _sieve_inverses(k)
+    lines = []
+    real_isqrt, real_scan_row = math.isqrt, search._scan_row
+
+    def counting_isqrt(value):
+        lines[-1][-1] += 1
+        return real_isqrt(value)
+
+    def spy(k, fixed, lo, hi, **kwargs):
+        lines.append([fixed, lo, hi, 0])
+        return real_scan_row(k, fixed, lo, hi, **kwargs)
+
+    monkeypatch.setattr(math, "isqrt", counting_isqrt)
+    monkeypatch.setattr(search, "_scan_row", spy)
+    sums = {}
+    for n_max, d_max in ((200, 30), (30, 200)):
+        for use_sieve in (False, True):
+            lines.clear()
+            find_solutions(k, n_max, d_max, use_sieve)
+            assert len(lines) == min(n_max, d_max)
+            for fixed, lo, hi, calls in lines:
+                selected = 0
+                for x in range(lo, hi + 1):
+                    n, d = (fixed, x) if n_max < d_max else (x, fixed)
+                    if use_sieve and ratios is not None and d % k:
+                        if n % k == 0 or d * pow(n, -1, k) % k not in ratios:
+                            continue
+                    if (n, d) not in sums:
+                        sums[n, d] = direct_square_sum(n, d, k)
+                    selected += all(sums[n, d] % m in squares for m, squares in moduli)
+                assert calls == selected, (n_max, d_max, use_sieve, fixed)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
