@@ -3,9 +3,12 @@ classification of the quadratic character of 3, modular square roots, and
 primality testing.
 
 `is_prime` is trial division by the primes up to 41, then a strong
-(Miller-Rabin) test to the first t prime bases, where t is the fewest
-that the psi_t table of Jaeschke (1993) and Sorenson & Webster (2017)
-proves exact for the size of n. Below DETERMINISTIC_LIMIT every verdict
+(Miller-Rabin) test to the bases of the band that n falls in, each base
+reduced mod n and skipped when that leaves 0 or 1. The bands of 1 and of
+3 to 7 bases, all below 2^64, use the published minimal sets
+(https://miller-rabin.appspot.com/); the others use the first 2, 3, 4,
+12 or 13 prime bases, exact below psi_t by the table of Jaeschke (1993)
+and Sorenson & Webster (2017). Below DETERMINISTIC_LIMIT every verdict
 is exact; at or beyond it the 14 bases 2..43 give a probable-prime
 verdict."""
 
@@ -22,23 +25,37 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # strong probable prime rather than proof.
 DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
-# (psi_t, the first t prime bases): psi_t is the least strong pseudoprime
-# to those bases (OEIS A014233), so they decide every n < psi_t exactly.
-# Where psi_t = psi_(t+1) only the smaller t is listed.
-_WITNESS_TIERS = tuple(
-    (psi, _SMALL_PRIMES[:t])
-    for psi, t in (
-        (2_047, 1),
-        (1_373_653, 2),
-        (25_326_001, 3),
-        (3_215_031_751, 4),
-        (2_152_302_898_747, 5),
-        (3_474_749_660_383, 6),
-        (341_550_071_728_321, 7),
-        (3_825_123_056_546_413_051, 9),
-        (318_665_857_834_031_151_167_461, 12),
-        (DETERMINISTIC_LIMIT, 13),
-    )
+# (bound, bases): the strong test to the bases, each reduced mod n and
+# skipped when that leaves 0 or 1, decides every n < bound exactly. The
+# sets of 1 and of 3 to 7 bases are the published minimal ones for their
+# bands (miller-rabin.appspot.com), verified under that skip rule; the
+# first t prime bases end at psi_t, the least strong pseudoprime to them
+# (OEIS A014233).
+_WITNESS_TIERS = (
+    (341_531, (9345883071009581737,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (350_269_456_337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (
+        7_999_252_175_582_851,
+        (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
+    ),
+    (
+        585_226_005_592_931_977,
+        (
+            2,
+            123635709730000,
+            9233062284813009,
+            43835965440333360,
+            761179012939631437,
+            1263739024124850375,
+        ),
+    ),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
+    (DETERMINISTIC_LIMIT, _SMALL_PRIMES),
 )
 _PROBABLE_WITNESSES = (*_SMALL_PRIMES, 43)
 
@@ -53,13 +70,15 @@ class PrimeProfile:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by 2..41, then a Miller-Rabin test to as many bases
-    as the size of n needs.
+    """Trial division by 2..41, then a Miller-Rabin test to the bases of
+    the size band that n falls in.
 
     Exact for all n < DETERMINISTIC_LIMIT (about 3.3e24): n < 43^2 needs
-    no base, and otherwise the first t of 2..41 suffice for n < psi_t.
-    Inputs at or beyond the limit get a strong probable-prime verdict
-    from the 14 bases 2..43.
+    no base, and otherwise each band of `_WITNESS_TIERS` has its own set:
+    1 to 7 bases below 2^64, then the first 12 or 13 prime bases. Each
+    base is reduced mod n and skipped when that leaves 0 or 1. Inputs at
+    or beyond the limit get a strong probable-prime verdict from the 14
+    bases 2..43.
     """
     if n < 2:
         return False
@@ -68,8 +87,8 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 1849:  # 43^2: n has no prime factor <= 41, so none at all
         return True
-    for psi, witnesses in _WITNESS_TIERS:
-        if n < psi:
+    for bound, witnesses in _WITNESS_TIERS:
+        if n < bound:
             break
     else:
         witnesses = _PROBABLE_WITNESSES
@@ -79,6 +98,9 @@ def is_prime(n: int) -> bool:
         d //= 2
         r += 1
     for a in witnesses:
+        a %= n
+        if a < 2:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

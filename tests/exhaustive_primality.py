@@ -1,10 +1,11 @@
 """Exhaustive check of `is_prime` against a sieve of Eratosthenes.
 
 Compares the two for every n below 26,000,000, which is past psi_3 =
-25,326,001, so the trial-division tier and the Miller-Rabin tiers of
-1, 2 and 3 bases are each proved exact on their whole range. Takes
-about half a minute on one CPU. The file name keeps pytest from
-collecting it; run it directly from the repository root:
+25,326,001, so the trial-division tier (n < 43^2), the one-base tier
+(n < 341,531) and the (2, 3) and (2, 3, 5) tiers are each proved exact
+on their whole range. Takes about half a minute on one CPU. The file
+name keeps pytest from collecting it; run it directly from the
+repository root:
 
     PYTHONPATH=src python tests/exhaustive_primality.py
 """

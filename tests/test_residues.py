@@ -148,6 +148,90 @@ def test_is_prime_rejects_strong_pseudoprimes_straddling_the_tiers():
         assert not is_prime(n), n
 
 
+# The witness sets below 2^64: the strong test to the bases, each reduced
+# mod n and skipped when that leaves 0 or 1, decides every n < bound
+# exactly. The sets of 1 and of 3 to 7 bases are the published minimal ones
+# (miller-rabin.appspot.com); the first 2 to 4 prime bases end at psi_t.
+_MINIMAL_BASES = (
+    (341_531, (9345883071009581737,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (350_269_456_337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (
+        7_999_252_175_582_851,
+        (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
+    ),
+    (
+        585_226_005_592_931_977,
+        (
+            2,
+            123635709730000,
+            9233062284813009,
+            43835965440333360,
+            761179012939631437,
+            1263739024124850375,
+        ),
+    ),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
+# Each band [lo, hi) that one witness set decides, from 43^2 (below it
+# trial division decides) up to DETERMINISTIC_LIMIT.
+_BANDS = tuple(
+    zip(
+        (1849, *(bound for bound, _ in _MINIMAL_BASES), _PSI[11]),
+        (*(bound for bound, _ in _MINIMAL_BASES), _PSI[11], _PSI[12]),
+    )
+)
+
+
+def test_each_minimal_bound_fools_its_bases_but_not_is_prime():
+    for bound, bases in _MINIMAL_BASES[:-1]:
+        # A base that the bound wraps to 0 or 1 is skipped, as in is_prime.
+        wrapped = [a % bound for a in bases]
+        assert all(a < 2 or _strong_probable_prime(bound, a) for a in wrapped), bound
+        assert not is_prime(bound), bound
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (98_207, True),
+        (3_709_689_913, True),
+        (3_695_202_151, False),
+        (401_079_056_743, False),
+        (9_459_272_301_649, False),
+        (346_338_208_585_571, False),
+        (463_740_991_156_951, False),
+        (2_496_591_062_878_201, False),
+    ],
+)
+def test_is_prime_skips_a_base_that_wraps_to_zero(n, prime):
+    own_bases = next(bases for bound, bases in _MINIMAL_BASES if n < bound)
+    assert any(a % n == 0 for a in own_bases)
+    assert is_prime(n) == prime == _thirteen_base_is_prime(n)
+
+
+@given(
+    st.sampled_from(_BANDS),
+    st.sampled_from(("low", "inside", "high")),
+    st.integers(0, 2**82),
+)
+@example(_BANDS[0], "low", 0)
+@example(_BANDS[-1], "high", 0)
+def test_is_prime_matches_thirteen_bases_in_each_band(band, where, offset):
+    # The band's odd n are first + 2j for 0 <= j < count; j is drawn from
+    # the first or last 2^16 of them, or from all.
+    lo, hi = band
+    first = lo | 1
+    count = (hi - first + 1) // 2
+    j = offset % (count if where == "inside" else 2**16)
+    n = first + 2 * (count - 1 - j if where == "high" else j)
+    assert lo <= n < hi
+    assert is_prime(n) == _thirteen_base_is_prime(n)
+
+
 def test_deterministic_limit_is_composite():
     assert 1_287_836_182_261 * 2_575_672_364_521 == DETERMINISTIC_LIMIT
     assert not is_prime(DETERMINISTIC_LIMIT)
