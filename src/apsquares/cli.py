@@ -20,8 +20,8 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterable
+from dataclasses import asdict
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .apsum import APWindow, check_window_square, sum_first_k, sum_sq_first_k
 from .obstruction import trace_length3, valuation_law
@@ -33,8 +33,7 @@ _FORMAT_ENV = "APSQUARES_FORMAT"
 _JSON_SAFE_MAX = 2**53 - 1
 
 
-@dataclass(frozen=True)
-class _Output:
+class _Output(NamedTuple):
     payload: dict[str, Any]
     text: str
     # CSV rows, given only when they are not the one row of payload values.
@@ -228,8 +227,7 @@ def _search(args: argparse.Namespace) -> _Output:
     return _grid_output(args, report, "\n".join(lines), k=report.k, sieve=report.sieve_used)
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     help: str
     columns: str  # the CSV header
     run: Callable[[argparse.Namespace], _Output]

@@ -16,11 +16,11 @@ square is a square modulo every m, and S(n, d, k), the quadratic form
 `window_form(k)` in (n, d), depends mod m only on n mod m and d mod m;
 a column reads the form reversed, as a quadratic in d. For each modulus
 m in (64, 9, 5, 7, 11, 13, 17, 19, 23) that is coprime to k, a table
-built once per run holds, per fixed coordinate mod m, a byte per cell
-marking the cells whose S is a square mod m. The kernel ANDs these tiles
-into a selector and finds its kept cells with `bytes.find`, so it visits
-only the cells that survive (about 0.2-1%); they alone have S evaluated
-and an exact `math.isqrt` taken. A modulus sharing a factor
+built once per run holds, per fixed coordinate mod m, an int with one
+bit per cell marking the cells whose S is a square mod m. The kernel
+ANDs these tiles into a selector and walks its set bits lowest first, so
+it visits only the cells that survive (about 0.2-1%); they alone have S
+evaluated and an exact `math.isqrt` taken. A modulus sharing a factor
 with k is never used: for length p the mod-p test is the nonexistence
 theorem itself (it rejects every length-5 cell), so `verify` would
 assume what it checks. A length divisible by every modulus has no
@@ -29,9 +29,10 @@ selector, and its lines keep every cell. Lines longer than a block of
 
 The sieve applies to prime k >= 5. Its one value, `residue_sieve(k)`,
 holds the admissible ratios d/n mod k; a cell is decided when k | d or
-its ratio is admissible. The driver derives each line's kept residue
-classes, of n along a row and of d along a column, once from the ratios,
-and that one set both counts the line's cells and filters the kernel.
+its ratio is admissible. A line's kept residue classes, of n along a
+row and of d along a column, depend only on its fixed coordinate mod k;
+the driver derives them from the ratios once per residue, and that one
+set both counts the line's cells and filters the kernel.
 Every other cell has odd k-adic valuation, so the sieve is lossless:
 the solution lists are identical, and only `windows_checked` differs.
 
@@ -43,15 +44,20 @@ file belongs to the run when it and the header line are prefixes of one
 another; whatever follows its last newline, a torn header included, is
 a torn line, cut once every other line has passed. Any other line, or a
 row outside [1, d_max], is a hard error that leaves the file untouched.
+Rows are appended as they complete but flushed about once a second and
+on every exit, an exception included (the CLI turns SIGTERM into one);
+a SIGKILL loses at most about the last second of rows, which a resumed
+run scans again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import AbstractSet, BinaryIO, NamedTuple
 
 from .apsum import APWindow, window_form, window_sum_sq_closed
 from .obstruction import _require_nonresidue_prime, residue_sieve
@@ -96,25 +102,30 @@ _MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23)
 _BLOCK = 4096
 # A completed row's checkpoint line, as written and as read back.
 _ROW_LINE = "done d={}\n"
+# Seconds between checkpoint flushes; a killed run loses at most the rows since.
+_FLUSH_S = 1.0
 
 
-def _bytes_tile(period: bytes, width: int) -> int:
-    # `period` repeated to at least `width` bytes, as an int whose byte
-    # i (little-endian) is period[i % len(period)].
-    return int.from_bytes(period * -(-width // len(period)), "little")
+def _bit_tile(period: int, m: int, width: int) -> int:
+    # The m-bit `period` repeated to at least `width` bits: bit i is bit
+    # i % m of `period`. Multiplying by the repunit 1 + 2^m + 2^(2m) + ...
+    # lays the copies side by side, as no two of them overlap.
+    reps = -(-width // m)
+    return period * (((1 << m * reps) - 1) // ((1 << m) - 1))
 
 
-@dataclass(frozen=True)
-class _RowTables:
+class _RowTables(NamedTuple):
     """Per-length tables of the line kernel, built once per run.
 
     A line is a row (d fixed, x = n) or a column (n fixed, x = d). A
-    tile is an int holding one 0/1 byte per cell, byte i for the cell
+    tile is an int holding one bit per cell, bit i for the cell
     x = lo + i of the block starting at lo; ANDing tiles intersects the
     cell sets they select. `squares` holds, for each modulus m, one tile
     per fixed coordinate mod m, repeating with period m from x = 1 and
-    long enough to be shifted by up to m - 1 cells. `form` is
-    `window_form(k)` for rows and its reverse for columns.
+    long enough to be shifted by up to m - 1 cells. `every_cell` is the
+    `width` low bits, and `every_kth_cell` sets bits 0, k, 2k, ... below
+    `width`. `form` is `window_form(k)` for rows and its reverse for
+    columns.
     """
 
     form: tuple[int, int, int]
@@ -133,19 +144,19 @@ def _row_tables(k: int, length: int, form: tuple[int, int, int] | None = None) -
         if math.gcd(m, k) > 1:
             continue
         residues = {x * x % m for x in range(m)}
-        tiles = tuple(
-            _bytes_tile(
-                bytes((a * n * n + b * r * n + c * r * r) % m in residues for n in range(1, m + 1)),
-                width + m - 1,
+        tiles = []
+        for r in range(m):
+            # Bit x - 1 of the period is the cell x, for x = 1..m.
+            period = sum(
+                1 << (x - 1) for x in range(1, m + 1) if (a * x * x + b * r * x + c * r * r) % m in residues
             )
-            for r in range(m)
-        )
-        squares.append((m, tiles))
+            tiles.append(_bit_tile(period, m, width + m - 1))
+        squares.append((m, tuple(tiles)))
     return _RowTables(
         form=form,
         width=width,
-        every_cell=_bytes_tile(b"\x01", width),
-        every_kth_cell=_bytes_tile(b"\x01".ljust(min(k, width), b"\x00"), width),
+        every_cell=(1 << width) - 1,
+        every_kth_cell=_bit_tile(1, min(k, width), width),
         squares=tuple(squares),
     )
 
@@ -157,16 +168,17 @@ def _scan_row(
     hi: int,
     *,
     tables: _RowTables,
-    classes: set[int] | None = None,
+    classes: AbstractSet[int] | None = None,
 ) -> list[tuple[int, int]]:
     """Square-check the cells x in [lo, hi] of the row or column (as
     `tables` says) whose other coordinate is `fixed`; (x, root) pairs in
     ascending x.
 
-    Each block of cells is first narrowed by a selector: the AND of the
-    square tiles for `fixed` mod m and, when `classes` is given, of the
-    cells x = r (mod k) for each r in it. `bytes.find` visits only the
-    surviving cells, which alone have S evaluated and an exact isqrt
+    Each block of cells is first narrowed by a selector, one bit per
+    cell: the AND of the square tiles for `fixed` mod m, each shifted to
+    the block's start, and, when `classes` is given, of the cells
+    x = r (mod k) for each r in it. The kept cells are then taken
+    lowest set bit first; they alone have S evaluated and an exact isqrt
     taken.
     """
     a, b, c = tables.form
@@ -177,26 +189,25 @@ def _scan_row(
     for block in range(lo, hi + 1, width):
         selector = tables.every_cell
         for m, tiles in tables.squares:
-            selector &= tiles[fixed % m] >> ((block - 1) % m * 8)
+            selector &= tiles[fixed % m] >> ((block - 1) % m)
         if selector and classes is not None:
             admissible = 0
             for residue in classes:
                 shift = (residue - block) % k
                 if shift < width:
-                    admissible |= tables.every_kth_cell << (shift * 8)
+                    admissible |= tables.every_kth_cell << shift
             selector &= admissible
-        if not selector:
-            continue
-        end = min(width, hi + 1 - block)
-        kept = selector.to_bytes(width, "little")
-        i = kept.find(1, 0, end)
-        while i >= 0:
-            x = block + i
+        end = hi + 1 - block
+        if end < width:
+            selector &= (1 << end) - 1
+        while selector:
+            low = selector & -selector
+            x = block + low.bit_length() - 1
+            selector ^= low
             s = a * x * x + b * x + c
             root = isqrt(s)
             if root * root == s:
                 hits.append((x, root))
-            i = kept.find(1, i + 1, end)
     return hits
 
 
@@ -267,17 +278,24 @@ def _scan_grid(
     multipliers = None
     if ratios is not None:
         multipliers = (*ratios, 0) if columns else tuple(pow(r, -1, k) for r in ratios)
+
+    # At most k residues occur; the cap bounds the cache for a huge k.
+    @functools.lru_cache(maxsize=_BLOCK)
+    def sieved_line(residue: int) -> tuple[frozenset[int], int]:
+        # The kept classes of every sieved line with fixed = residue (mod k),
+        # and the cells x = c (mod k) they hold.
+        classes = frozenset(residue * m % k for m in multipliers)
+        return classes, sum(len(range(c or k, length + 1, k)) for c in classes)
+
     solutions: list[tuple[int, int, int]] = []
     windows = 0
     with open(checkpoint, "a+b") if checkpoint is not None else nullcontext() as ckpt:
         done = set() if ckpt is None else _resume_rows(ckpt, fingerprint, d_max)
+        flushed = time.monotonic()
         for fixed in range(1, lines + 1):
             sieved = multipliers is not None and (columns or fixed % k)
-            classes = {fixed * m % k for m in multipliers} if sieved else None
-            # The whole line, or its cells x = c (mod k) for each kept class c.
-            windows += length if classes is None else sum(
-                len(range(c or k, length + 1, k)) for c in classes
-            )
+            classes, kept = sieved_line(fixed % k) if sieved else (None, length)
+            windows += kept
             if fixed in done:
                 continue
             hits = _scan_row(k, fixed, 1, length, tables=tables, classes=classes)
@@ -286,7 +304,10 @@ def _scan_grid(
                 _record(solutions, k, n, d, root)
             if ckpt is not None and not hits:
                 ckpt.write(_ROW_LINE.format(fixed).encode("ascii"))
-                ckpt.flush()
+                # Leaving the `with` flushes the rest, on success and on any exception.
+                if time.monotonic() - flushed >= _FLUSH_S:
+                    ckpt.flush()
+                    flushed = time.monotonic()
     solutions.sort(key=lambda s: (s[1], s[0]))
     return SearchReport(
         k=k,

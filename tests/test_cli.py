@@ -302,6 +302,40 @@ def test_sigterm_is_exit_143_and_keeps_completed_rows(tmp_path):
     assert rows[1:] == [f"done d={d}" for d in range(1, len(rows))]
 
 
+def test_sigkill_mid_run_then_resume_is_byte_identical(tmp_path):
+    # SIGKILL skips every flush: the file keeps what reached the disk, up to
+    # a torn last line. The resumed run rescans the lost rows.
+    args = ["verify", "--p", "89", "--max-n", "20", "--max-d", "100000"]
+    ckpt = tmp_path / "kill.ckpt"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "apsquares", *args, "--checkpoint", str(ckpt)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while b"done d=" not in (ckpt.read_bytes() if ckpt.exists() else b""):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    header = "k=89 n_max=20 d_max=100000 sieve=0\n"
+    killed = ckpt.read_text(encoding="ascii")
+    assert killed.startswith(header)
+    assert killed.count("\n") - 1 < 100000  # fewer rows than the grid: killed mid-run
+    resumed = run_cli(*args, "--checkpoint", str(ckpt))
+    uninterrupted = run_cli(*args)
+    assert resumed.returncode == uninterrupted.returncode == 0
+    assert resumed.stdout == uninterrupted.stdout
+    assert resumed.stderr == uninterrupted.stderr == ""
+    rows = "".join(f"done d={d}\n" for d in range(1, 100001))
+    assert ckpt.read_text(encoding="ascii") == header + rows
+
+
 def test_main_restores_the_previous_sigterm_handler(capsys):
     def previous(signum, frame):
         pass

@@ -501,23 +501,40 @@ def test_kernel_takes_isqrt_only_on_selected_cells(k, monkeypatch):
                 assert calls == selected, (n_max, d_max, use_sieve, fixed)
 
 
+def _square_sum_mod(n, d, k, m):
+    # S(n, d, k) mod m from one period of terms: n + (i + m)d = n + id (mod m),
+    # so the k terms are k // m whole periods and the first k mod m terms.
+    period = sum((n + i * d) ** 2 for i in range(m))
+    return ((k // m) * period + sum((n + i * d) ** 2 for i in range(k % m))) % m
+
+
+def _assert_tiles_match(tables, k, width, cell):
+    # Bit i of tile r is the cell x = i + 1 of a line whose fixed coordinate
+    # is r; `cell(r, x)` is its (n, d). A few cells per modulus pin the
+    # period shortcut to the direct sum.
+    for m, tiles in tables.squares:
+        squares_mod_m = {x * x % m for x in range(m)}
+        assert len(tiles) == m
+        for r, tile in enumerate(tiles):
+            for i in range(width + m - 1):
+                # r stands for every fixed coordinate = r (mod m).
+                expected = _square_sum_mod(*cell(r, i + 1), k, m) in squares_mod_m
+                assert tile >> i & 1 == expected, (m, r, i)
+        for r, x in ((0, 1), (1, 2), (m - 1, width + m - 1)):
+            n, d = cell(r, x)
+            assert _square_sum_mod(n, d, k, m) == direct_square_sum(n, d, k) % m, (m, r, x)
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
 def test_row_tables_match_residue_enumeration(k):
     n_max = 40
     tables = search._row_tables(k, n_max)
     assert tables.form == window_form(k)
     assert tables.width == n_max
-    for m, tiles in tables.squares:
-        squares_mod_m = {x * x % m for x in range(m)}
-        assert len(tiles) == m
-        for r, tile in enumerate(tiles):
-            for i in range(n_max + m - 1):
-                byte = tile >> (8 * i) & 0xFF
-                # d = r stands for every d = r (mod m).
-                assert byte == (direct_square_sum(i + 1, r, k) % m in squares_mod_m), (m, r, i)
+    _assert_tiles_match(tables, k, n_max, lambda r, x: (x, r))
     for i in range(n_max):
-        assert tables.every_cell >> (8 * i) & 0xFF == 1
-        assert tables.every_kth_cell >> (8 * i) & 0xFF == (i % k == 0)
+        assert tables.every_cell >> i & 1 == 1
+        assert tables.every_kth_cell >> i & 1 == (i % k == 0)
 
 
 def test_verify_filter_never_uses_the_length_as_modulus(monkeypatch):
@@ -598,14 +615,7 @@ def test_column_tables_match_residue_enumeration(k):
     tables = search._row_tables(k, d_max, window_form(k)[::-1])
     assert tables.form == window_form(k)[::-1]
     assert tables.width == d_max
-    for m, tiles in tables.squares:
-        squares_mod_m = {x * x % m for x in range(m)}
-        assert len(tiles) == m
-        for r, tile in enumerate(tiles):
-            for i in range(d_max + m - 1):
-                byte = tile >> (8 * i) & 0xFF
-                # n = r stands for every n = r (mod m).
-                assert byte == (direct_square_sum(r, i + 1, k) % m in squares_mod_m), (m, r, i)
+    _assert_tiles_match(tables, k, d_max, lambda r, x: (r, x))
 
 
 def test_column_filter_never_uses_the_length_as_modulus(monkeypatch):
@@ -688,7 +698,7 @@ def test_overlong_checkpoint_line_is_malformed_without_parsing(tmp_path, monkeyp
     parsed = []
 
     class Spy(int):
-        # The module's int, which also builds its tiles through int.from_bytes.
+        # The module's int, as `_resume_rows` calls it.
         def __new__(cls, value=0, *args):
             parsed.append(value)
             return int(value, *args)
