@@ -4,17 +4,21 @@ primality testing.
 
 `is_prime` is trial division by the primes up to 41, then a strong
 (Miller-Rabin) test to the bases of the band that n falls in, each base
-reduced mod n and skipped when that leaves 0 or 1. The bands of 1 and of
-3 to 7 bases, all below 2^64, use the published minimal sets
-(https://miller-rabin.appspot.com/); the others use the first 2, 3, 4,
-12 or 13 prime bases, exact below psi_t by the table of Jaeschke (1993)
-and Sorenson & Webster (2017). Below DETERMINISTIC_LIMIT every verdict
-is exact; at or beyond it the 14 bases 2..43 give a probable-prime
-verdict."""
+reduced mod n and skipped when that leaves 0 or 1. Below 3,215,031,751
+the bands use one published minimal base
+(https://miller-rabin.appspot.com/) or the first 2, 3 or 4 prime bases.
+From there to 2^64 n is decided by BPSW: the strong test to base 2, then
+the extra strong Lucas test, which no composite below 2^64 passes with
+it (Baillie & Wagstaff 1980; Baillie, Fiori & Wagstaff 2021). From 2^64
+on the bands use the first 12 or 13 prime bases, exact below psi_t by
+the table of Jaeschke (1993) and Sorenson & Webster (2017). Below
+DETERMINISTIC_LIMIT every verdict is exact; at or beyond it the 14 bases
+2..43 give a probable-prime verdict."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -25,35 +29,23 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # strong probable prime rather than proof.
 DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
+# Below it the strong test to base 2 plus `_extra_strong_lucas` (BPSW) is
+# exact: no base-2 strong pseudoprime below 2^64 (Feitsma-Galway list)
+# passes the extra strong Lucas test.
+_BPSW_LIMIT = 2**64
+
 # (bound, bases): the strong test to the bases, each reduced mod n and
-# skipped when that leaves 0 or 1, decides every n < bound exactly. The
-# sets of 1 and of 3 to 7 bases are the published minimal ones for their
-# bands (miller-rabin.appspot.com), verified under that skip rule; the
-# first t prime bases end at psi_t, the least strong pseudoprime to them
-# (OEIS A014233).
+# skipped when that leaves 0 or 1, decides every n < bound exactly, in
+# the (2,) band together with `_extra_strong_lucas`. The one-base set is
+# the published minimal one for its band (miller-rabin.appspot.com),
+# verified under that skip rule; the first t prime bases end at psi_t,
+# the least strong pseudoprime to them (OEIS A014233).
 _WITNESS_TIERS = (
     (341_531, (9345883071009581737,)),
     (1_373_653, (2, 3)),
     (25_326_001, (2, 3, 5)),
     (3_215_031_751, (2, 3, 5, 7)),
-    (350_269_456_337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
-    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
-    (
-        7_999_252_175_582_851,
-        (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
-    ),
-    (
-        585_226_005_592_931_977,
-        (
-            2,
-            123635709730000,
-            9233062284813009,
-            43835965440333360,
-            761179012939631437,
-            1263739024124850375,
-        ),
-    ),
-    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (_BPSW_LIMIT, (2,)),
     (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
     (DETERMINISTIC_LIMIT, _SMALL_PRIMES),
 )
@@ -75,10 +67,11 @@ def is_prime(n: int) -> bool:
 
     Exact for all n < DETERMINISTIC_LIMIT (about 3.3e24): n < 43^2 needs
     no base, and otherwise each band of `_WITNESS_TIERS` has its own set:
-    1 to 7 bases below 2^64, then the first 12 or 13 prime bases. Each
-    base is reduced mod n and skipped when that leaves 0 or 1. Inputs at
-    or beyond the limit get a strong probable-prime verdict from the 14
-    bases 2..43.
+    1 to 4 bases below 3,215,031,751; base 2 and then the extra strong
+    Lucas test from there to 2^64; the first 12 or 13 prime bases from
+    2^64 on. Each base is reduced mod n and skipped when that leaves 0 or
+    1. Inputs at or beyond the limit get a strong probable-prime verdict
+    from the 14 bases 2..43.
     """
     if n < 2:
         return False
@@ -110,7 +103,47 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return bound != _BPSW_LIMIT or _extra_strong_lucas(n)
+
+
+def _extra_strong_lucas(n: int) -> bool:
+    """The extra strong Lucas probable-prime test for odd n >= 3.
+
+    Baillie's parameters: Q = 1 and the least P >= 3 with Jacobi symbol
+    ((P^2 - 4)/n) = -1; a symbol 0 before it, with n not dividing P^2 - 4,
+    shows n composite. With n + 1 = d * 2^s, d odd, n passes when U_d = 0
+    and V_d = +-2, or V_{d*2^r} = 0 for some 0 <= r < s - 1, all mod n.
+    Every odd prime passes. A square n never gives the symbol -1, so it
+    is rejected first.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    p = 3
+    while True:
+        j = jacobi(p * p - 4, n)
+        if j == -1:
+            break
+        if j == 0 and (p * p - 4) % n:
+            return False
+        p += 1
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # (V_j, V_j+1) up the bits of d from (V_1, V_2): with Q = 1,
+    # V_2j = V_j^2 - 2 and V_2j+1 = V_j * V_j+1 - P.
+    v, w = p % n, (p * p - 2) % n
+    for bit in bin(d)[3:]:
+        if bit == "1":
+            v, w = (v * w - p) % n, (w * w - 2) % n
+        else:
+            v, w = (v * v - 2) % n, (v * w - p) % n
+    # (P^2 - 4) * U_d = 2 V_d+1 - P * V_d, and P^2 - 4 is a unit mod n.
+    if (2 * w - p * v) % n == 0 and v in (2, n - 2):
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % n
+    return False
 
 
 def legendre_euler(a: int, p: int) -> int:

@@ -1,13 +1,17 @@
 """Tests for symbols, mod-12 classification, primality, and modular roots."""
 
+import math
+
 import pytest
 from conftest import primes_below
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from apsquares import residues
 from apsquares.residues import (
     DETERMINISTIC_LIMIT,
     PrimeProfile,
+    _extra_strong_lucas,
     classify_prime_mod12,
     is_prime,
     jacobi,
@@ -230,6 +234,102 @@ def test_is_prime_matches_thirteen_bases_in_each_band(band, where, offset):
     n = first + 2 * (count - 1 - j if where == "high" else j)
     assert lo <= n < hi
     assert is_prime(n) == _thirteen_base_is_prime(n)
+
+
+def test_bpsw_band_psi_pass_base_two_but_not_is_prime():
+    # From 3215031751 to 2^64 is_prime runs only base 2 and then the extra
+    # strong Lucas test. Each psi_t there is a base-2 strong pseudoprime, so
+    # the Lucas test alone must reject it.
+    band_psi = sorted({psi for psi in _PSI if 3_215_031_751 <= psi < 2**64})
+    assert len(band_psi) == 5
+    for psi in band_psi:
+        assert _strong_probable_prime(psi, 2), psi
+        assert not _extra_strong_lucas(psi), psi
+        assert not is_prime(psi), psi
+
+
+def test_extra_strong_lucas_rejects_squares_and_returns(monkeypatch):
+    # 1093^2 and 3511^2 are base-2 strong pseudoprimes. No P gives a square
+    # the Jacobi symbol -1, so without the square check the parameter
+    # search would not end; the spy turns that into a failure.
+    calls = []
+
+    def counting_jacobi(a, m):
+        calls.append(a)
+        assert len(calls) < 1000, "parameter search does not end"
+        return jacobi(a, m)
+
+    monkeypatch.setattr(residues, "jacobi", counting_jacobi)
+    for n in (1093**2, 3511**2):
+        assert _strong_probable_prime(n, 2), n
+        assert _extra_strong_lucas(n) is False, n
+
+
+def _mat_mul(a, b, n):
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % n,
+        (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % n,
+    ), (
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0]) % n,
+        (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % n,
+    )
+
+
+def _mat_pow(m, k, n):
+    result = ((1, 0), (0, 1))
+    while k:
+        if k & 1:
+            result = _mat_mul(result, m, n)
+        m = _mat_mul(m, m, n)
+        k >>= 1
+    return result
+
+
+def _matrix_lucas(n: int) -> bool:
+    """The extra strong Lucas test by matrix powers, for odd n >= 3 not a square.
+
+    With Q = 1, M = [[P, -1], [1, 0]] has M^k = [[U_k+1, -U_k], [U_k, -U_k-1]],
+    so U_k is the lower-left entry and V_k = U_k+1 - U_k-1 the trace.
+    """
+    p = 3
+    while (symbol := jacobi(p * p - 4, n)) != -1:
+        if symbol == 0 and (p * p - 4) % n:
+            return False
+        p += 1
+    s = 0
+    while (n + 1) % 2 ** (s + 1) == 0:
+        s += 1
+    d = (n + 1) // 2**s
+    power = _mat_pow(((p, n - 1), (1, 0)), d, n)
+    trace = (power[0][0] + power[1][1]) % n
+    if power[1][0] == 0 and trace in (2, n - 2):
+        return True
+    for _ in range(s - 1):
+        if trace == 0:
+            return True
+        power = _mat_mul(power, power, n)
+        trace = (power[0][0] + power[1][1]) % n
+    return False
+
+
+def test_extra_strong_lucas_matches_matrix_oracle():
+    # Every odd n in [3, 10^5) that is not a square: the n with no prime
+    # factor up to 41, which is_prime hands to the test, and the rest, where
+    # the parameter search can meet a common factor.
+    limit = 100_000
+    primes = set(primes_below(limit))
+    pseudoprimes = []
+    for n in range(3, limit, 2):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        passes = _extra_strong_lucas(n)
+        assert passes == _matrix_lucas(n), n
+        if n in primes:
+            assert passes, n
+        elif passes:
+            pseudoprimes.append(n)
+    # OEIS A217719, the extra strong Lucas pseudoprimes.
+    assert pseudoprimes[:9] == [989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059]
 
 
 def test_deterministic_limit_is_composite():
