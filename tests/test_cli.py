@@ -1,5 +1,6 @@
 """Golden-output and exit-code tests for the command-line interface."""
 
+import gc
 import json
 import os
 import signal
@@ -334,6 +335,45 @@ def test_sigkill_mid_run_then_resume_is_byte_identical(tmp_path):
     assert resumed.stderr == uninterrupted.stderr == ""
     rows = "".join(f"done d={d}\n" for d in range(1, 100001))
     assert ckpt.read_text(encoding="ascii") == header + rows
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["sum", "--k", "3"]) == 0
+    assert cli.main(["verify", "--p", "13", "--max-n", "1", "--max-d", "1"]) == 2
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, status, out",
+    [
+        (["sum", "--k", "3"], 0, '{"k":3,"sum":6,"sum_sq":14}\n'),
+        (["verify", "--p", "13", "--max-n", "1", "--max-d", "1"], 2, ""),
+    ],
+)
+def test_run_returns_the_status_of_main_and_freezes_the_heap(monkeypatch, capsys, argv, status, out):
+    monkeypatch.setattr(sys, "argv", ["apsquares", *argv])
+    before = gc.get_freeze_count()
+    try:
+        assert cli.run() == status
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()  # the test process goes on collecting
+    assert capsys.readouterr().out == out
+
+
+def test_run_freezes_the_heap_on_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["apsquares", "frobnicate"])
+    before = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 2
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert "frobnicate" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_main_restores_the_previous_sigterm_handler(capsys):

@@ -154,3 +154,10 @@ def test_modinv_rejects_multiples_of_modulus():
     for a in (0, 5, -10, 25):
         with pytest.raises(ValueError):
             modinv(a, 5)
+
+
+def test_modinv_rejects_moduli_below_two():
+    # pow(a, -1, p) itself answers for p = 1 and p = -5, and refuses p = 0 with another message.
+    for p in (1, 0, -5):
+        with pytest.raises(ValueError, match="at least 2"):
+            modinv(3, p)

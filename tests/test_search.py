@@ -207,6 +207,25 @@ def test_checkpoint_file_format(tmp_path):
     assert lines[1:] == [f"done d={d}" for d in range(1, 13)]
 
 
+def test_checkpoint_flushes_rows_once_the_interval_has_passed(monkeypatch, tmp_path):
+    # With no interval to wait, each completed row is on disk before the next is scanned.
+    path = tmp_path / "flush.ckpt"
+    header = "k=5 n_max=30 d_max=12 sieve=0\n"
+    scan_row = search._scan_row
+    scanned = []
+
+    def spy(k, fixed, *args, **kwargs):
+        done = "".join(f"done d={d}\n" for d in range(1, fixed))
+        assert path.read_text(encoding="ascii") == header + done
+        scanned.append(fixed)
+        return scan_row(k, fixed, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_FLUSH_S", 0)
+    monkeypatch.setattr(search, "_scan_row", spy)
+    verify_no_solutions(5, 30, 12, checkpoint=str(path))
+    assert scanned == list(range(1, 13))
+
+
 def test_checkpoint_resume_after_every_row(tmp_path):
     full = verify_no_solutions(5, 30, 12)
     path = tmp_path / "resume.ckpt"
@@ -236,10 +255,12 @@ def test_checkpoint_fingerprint_mismatch(tmp_path):
 
 def test_checkpoint_malformed_line(tmp_path):
     path = tmp_path / "bad.ckpt"
+    # "done d=x" and "done d=" are short enough to reach int(), which refuses them.
     # int() accepts "1_0" through "3 "; only the writer's exact "done d=<row>" counts.
     # splitlines() would read the last two as rows, breaking at "\x0c" and "\r".
-    for line in ("done d=oops", "row 3 finished", "done d=1_0", "done d=+3", "done d= 3",
-                 "done d=03", "done d=3 ", "done d=1\x0cdone d=2", "done d=1\r"):
+    for line in ("done d=oops", "done d=x", "done d=", "row 3 finished", "done d=1_0",
+                 "done d=+3", "done d= 3", "done d=03", "done d=3 ", "done d=1\x0cdone d=2",
+                 "done d=1\r"):
         content = f"k=5 n_max=30 d_max=12 sieve=0\n{line}\n".encode("ascii")
         path.write_bytes(content)
         with pytest.raises(CheckpointMismatch, match="malformed"):
