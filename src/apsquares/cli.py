@@ -11,12 +11,13 @@ that cannot be opened, read or written, and for a stdout that cannot be
 written (such as a closed pipe), 3 when an internal check fails,
 130 when interrupted, 143 when terminated by SIGTERM.
 
-`main(argv)` runs one command in-process and leaves the heap as it is.
-`run()` is the process entry point, behind both `python -m apsquares`
-and the `apsquares` script: it returns `main()`'s status after a
-`gc.freeze()`, so the full collections CPython runs while it tears the
-interpreter down skip the objects the run left: 10-12 ms of a 90-110
-ms run under CPython 3.11 on a 2-CPU Xeon host.
+`main(argv)` runs one command in-process: it parses, runs and writes
+under one SIGTERM trap and one lift of the int/str digit limit, restores
+both, and leaves the heap as it is. `run()` is the process entry point,
+behind both `python -m apsquares` and the `apsquares` script: it
+returns `main()`'s status after a `gc.freeze()`, so the full collections
+CPython runs at teardown skip the objects the run left: 10-12 ms of a
+90-110 ms run under CPython 3.11 on a 2-CPU Xeon host.
 """
 
 from __future__ import annotations
@@ -73,7 +74,11 @@ def _print_error(message: str) -> None:
         head, tail = _fitting(message, 500), _fitting(reversed(message), 500)
         cut = len(message) - head - tail
         message = f"{message[:head]}...[{cut} characters cut]...{message[len(message) - tail:]}"
-    sys.stderr.write(render_json({"error": message}))
+    try:
+        sys.stderr.write(render_json({"error": message}))
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        pass  # no usable stderr (None, closed or full): the record is lost, the code stays
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,25 +313,30 @@ def _raise_terminated(signum: int, frame: Any) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     # Exact sums outgrow CPython's 4300-digit int <-> str limit (3.10.7 on); lift it for the run.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _main(argv)
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
-def _main(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     # Only the main thread may install signal handlers.
     trap = threading.current_thread() is threading.main_thread()
-    if trap:
-        previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    handler = signal.getsignal(signal.SIGTERM)
     try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
+        if trap:
+            signal.signal(signal.SIGTERM, _raise_terminated)
+        args = build_parser().parse_args(argv)
         output = dispatch(args)
+        try:
+            sys.stdout.write(render(output, _COMMANDS[args.command].columns, args.format))
+            sys.stdout.flush()
+        except OSError as exc:
+            # A closed stdout (a reader that went away). Point the descriptor
+            # at the null device, so the interpreter's own flush at exit
+            # neither fails nor prints a second record.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            _print_error(f"cannot write output: {exc}")
+            return 2
+        return output.status
     except (ValueError, OSError) as exc:
         # OSError: an unusable checkpoint path, which exit 1 would report as a counterexample.
         _print_error(str(exc))
@@ -344,20 +354,9 @@ def _main(argv: list[str] | None) -> int:
         return 143
     finally:
         if trap:
-            signal.signal(signal.SIGTERM, previous)
-    try:
-        sys.stdout.write(render(output, _COMMANDS[args.command].columns, args.format))
-        sys.stdout.flush()
-    except OSError as exc:
-        # A closed stdout (a reader that went away). Point the descriptor
-        # at the null device, so the interpreter's own flush at exit
-        # neither fails nor prints a second record.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        _print_error(f"cannot write output: {exc}")
-        return 2
-    return output.status
+            signal.signal(signal.SIGTERM, handler)
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def run() -> int:

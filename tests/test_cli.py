@@ -1,6 +1,8 @@
 """Golden-output and exit-code tests for the command-line interface."""
 
+import errno
 import gc
+import io
 import json
 import os
 import signal
@@ -271,6 +273,62 @@ def test_keyboard_interrupt_is_exit_130_with_error_record(monkeypatch, capsys):
     assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
+class _RaisingWriter:
+    """A stream whose every write raises `exc`."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc, status, record",
+    [(KeyboardInterrupt, 130, "interrupted"), (cli._Terminated, 143, "terminated")],
+    ids=["interrupted", "terminated"],
+)
+def test_interrupt_while_the_report_is_written_keeps_the_record(monkeypatch, exc, status, record):
+    handler = signal.getsignal(signal.SIGTERM)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(sys, "stdout", _RaisingWriter(exc))
+    try:
+        code = cli.main(["sum", "--k", "3"])
+    except BaseException:
+        pytest.fail(f"{exc.__name__} escaped cli.main")
+    assert code == status
+    assert stderr.getvalue() == f'{{"error":"{record}"}}\n'
+    assert signal.getsignal(signal.SIGTERM) is handler
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digits
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_sigterm_while_the_report_is_written_is_exit_143(unbuffered):
+    # A 167,989-byte report: the child blocks on the full pipe until it is read.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "apsquares", "search", "--k", "2",
+         "--max-n", "4000", "--max-d", "4000", "--format", "text"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        first = os.read(proc.stdout.fileno(), 1)  # the write has begun
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=CLI_TIMEOUT_S)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 143
+    assert err == b'{"error":"terminated"}\n'
+    assert first and len(first + out) < 167989
+
+
 def test_sigterm_is_exit_143_and_keeps_completed_rows(tmp_path):
     # A grid far too large to finish: stop it once some rows are done.
     ckpt = tmp_path / "term.ckpt"
@@ -458,6 +516,42 @@ def test_closed_stdout_is_exit_2_with_one_error_line():
     assert len(lines) == 1 and "Broken pipe" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize(
+    "stderr",
+    [
+        None,
+        _RaisingWriter(OSError(errno.ENOSPC, "No space left on device")),
+        _RaisingWriter(ValueError("I/O operation on closed file.")),
+    ],
+    ids=["none", "full", "closed"],
+)
+def test_unusable_stderr_keeps_the_exit_code(monkeypatch, stderr):
+    # The record is lost, but a refusal must not read as exit 1, a counterexample.
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert cli.main(["verify", "--p", "13", "--max-n", "1", "--max-d", "1"]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["frobnicate"])
+    assert exit_info.value.code == 2
+    assert stdout.getvalue() == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_refusal_with_stderr_on_a_full_device_is_exit_2():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "apsquares", "verify", "--p", "13",
+             "--max-n", "1", "--max-d", "1"],
+            stdout=subprocess.PIPE,
+            stderr=full,
+            text=True,
+            timeout=CLI_TIMEOUT_S,
+        )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
 # 3000 nines: S(10^3000 - 1, 1, 3) = 3 * 10^6000 + 2, spelled out past
 # CPython's default 4300-digit limit on int <-> str conversion.
 _NINES = "9" * 3000
@@ -491,6 +585,14 @@ def test_main_parses_long_integers_and_restores_the_digit_limit(capsys):
         cli.main(["check", "--n", "x", "--d", "1", "--k", "2"])
     capsys.readouterr()
     assert sys.get_int_max_str_digits() == before
+
+
+def test_main_runs_without_a_digit_limit(monkeypatch, capsys):
+    # CPython 3.10.0-3.10.6 has no int <-> str digit limit, and no functions for one.
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert cli.main(["sum", "--k", "3"]) == 0
+    assert capsys.readouterr().out == '{"k":3,"sum":6,"sum_sq":14}\n'
 
 
 def test_cli_overlong_checkpoint_line_is_exit_2_malformed(tmp_path):
