@@ -13,36 +13,37 @@ decision of whether S is a perfect square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 
 
-@dataclass(frozen=True)
-class APWindow:
+class APWindow(namedtuple("APWindow", "n d k")):
     """k consecutive terms of an increasing arithmetic progression."""
 
-    n: int
-    d: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"first term must be a positive integer, got {self.n}")
-        if self.d < 1:
+    def __new__(cls, n: int, d: int, k: int) -> APWindow:
+        if n < 1:
+            raise ValueError(f"first term must be a positive integer, got {n}")
+        if d < 1:
             raise ValueError(
-                f"common difference must be a positive integer, got {self.d}; "
+                f"common difference must be a positive integer, got {d}; "
                 "write a decreasing progression in reverse order"
             )
-        if self.k < 1:
-            raise ValueError(f"window length must be a positive integer, got {self.k}")
+        if k < 1:
+            raise ValueError(f"window length must be a positive integer, got {k}")
+        return super().__new__(cls, n, d, k)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> APWindow:
+        # namedtuple's own `_make`, which `_replace` calls, would skip the checks.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SquareOutcome:
+class SquareOutcome(namedtuple("SquareOutcome", "sum floor_root root")):
     """A window's sum of squares, its floor root, and its exact root if any."""
 
-    sum: int
-    floor_root: int
-    root: int | None
+    __slots__ = ()
 
 
 def sum_first_k(k: int) -> int:

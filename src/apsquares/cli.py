@@ -16,8 +16,8 @@ under one SIGTERM trap and one lift of the int/str digit limit, restores
 both, and leaves the heap as it is. `run()` is the process entry point,
 behind both `python -m apsquares` and the `apsquares` script: it
 returns `main()`'s status after a `gc.freeze()`, so the full collections
-CPython runs at teardown skip the objects the run left: 10-12 ms of a
-90-110 ms run under CPython 3.11 on a 2-CPU Xeon host.
+CPython runs at teardown skip the objects the run left: about 8 ms of an
+80 ms 1000² `verify` under CPython 3.11 on one CPU of a 2-CPU Xeon host.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import asdict
-from typing import Any, Callable, Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .apsum import APWindow, check_window_square, sum_first_k, sum_sq_first_k
 from .obstruction import trace_length3, valuation_law
@@ -42,12 +42,8 @@ _FORMAT_ENV = "APSQUARES_FORMAT"
 _JSON_SAFE_MAX = 2**53 - 1
 
 
-class _Output(NamedTuple):
-    payload: dict[str, Any]
-    text: str
-    # CSV rows, given only when they are not the one row of payload values.
-    rows: list[list[Any]] | None = None
-    status: int = 0
+# `rows`: CSV rows, given only when they are not the one row of `payload` values.
+_Output = namedtuple("_Output", "payload text rows status", defaults=(None, 0))
 
 
 def _json_width(text: str) -> int:
@@ -87,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _canonical(value: Any) -> Any:
+def _canonical(value: object) -> object:
     # A bool is an int of magnitude at most 1, so it stays a JSON boolean.
     if isinstance(value, int):
         return str(value) if abs(value) > _JSON_SAFE_MAX else value
@@ -98,11 +94,11 @@ def _canonical(value: Any) -> Any:
     return value
 
 
-def render_json(payload: dict[str, Any]) -> str:
+def render_json(payload: dict[str, object]) -> str:
     return json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def render_csv(header: list[str], rows: list[list[Any]]) -> str:
+def render_csv(header: list[str], rows: list[list[object]]) -> str:
     # Every cell is an int, None or an obstruction name, so none needs quoting.
     return "".join(
         ",".join("" if item is None else str(item) for item in row) + "\n" for row in [header, *rows]
@@ -170,14 +166,14 @@ def _check(args: argparse.Namespace) -> _Output:
             f"S({window.n}, {window.d}, {window.k}) = {outcome.sum}, not a perfect "
             f"square (floor sqrt {outcome.floor_root})"
         )
-    return _Output({**asdict(window), **asdict(outcome)}, text)
+    return _Output({**window._asdict(), **outcome._asdict()}, text)
 
 
 def _trace(args: argparse.Namespace) -> _Output:
     window = APWindow(n=args.n, d=args.d, k=_checked_prime_param(args.k, "--k"))
     report = trace_length3(window) if window.k == 3 else valuation_law(window)
     payload = {
-        **asdict(window),
+        **window._asdict(),
         "prime": report.prime,
         "obstruction": report.obstruction,
         "splits": {
@@ -198,7 +194,7 @@ def _trace(args: argparse.Namespace) -> _Output:
 
 
 def _grid_output(
-    args: argparse.Namespace, report: SearchReport, text: str, status: int = 0, **fields: Any
+    args: argparse.Namespace, report: SearchReport, text: str, status: int = 0, **fields: object
 ) -> _Output:
     """The verify and search report: payload, and one `k,n,d,t` CSV row per solution."""
     payload = {
@@ -240,12 +236,9 @@ def _search(args: argparse.Namespace) -> _Output:
     return _grid_output(args, report, "\n".join(lines), k=report.k, sieve=report.sieve_used)
 
 
-class _Command(NamedTuple):
-    help: str
-    columns: str  # the CSV header
-    run: Callable[[argparse.Namespace], _Output]
-    # Flag -> its help, for a required integer flag; argparse keywords for any other.
-    flags: dict[str, str | None | dict[str, Any]]
+# `columns` is the CSV header, and `run` the handler. `flags` maps a flag to its help, for a
+# required integer flag, or to argparse keywords for any other.
+_Command = namedtuple("_Command", "help columns run flags")
 
 
 _COMMANDS = {
@@ -303,11 +296,31 @@ def dispatch(args: argparse.Namespace) -> _Output:
     return _COMMANDS[args.command].run(args)
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of `text` to stdout and flush it, or raise OSError."""
+    stdout = sys.stdout
+    if stdout is None:
+        raise OSError("stdout is closed")  # closed before start (`>&-`)
+    buffer = getattr(stdout, "buffer", None)
+    if buffer is None:  # a text-only stream
+        stdout.write(text)
+        stdout.flush()
+        return
+    # An unbuffered stdout's raw file may take only part of a write and
+    # return the count, which the text layer ignores. So the encoded bytes
+    # go to the layer below, each write resuming where the last one ended.
+    stdout.flush()
+    data = memoryview(text.encode(stdout.encoding, stdout.errors))
+    while data:
+        data = data[buffer.write(data):]
+    buffer.flush()
+
+
 class _Terminated(BaseException):
     """SIGTERM arrived; like KeyboardInterrupt, not an `Exception`."""
 
 
-def _raise_terminated(signum: int, frame: Any) -> None:
+def _raise_terminated(signum: int, frame: object) -> None:
     raise _Terminated
 
 
@@ -325,15 +338,19 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         output = dispatch(args)
         try:
-            sys.stdout.write(render(output, _COMMANDS[args.command].columns, args.format))
-            sys.stdout.flush()
+            _write_stdout(render(output, _COMMANDS[args.command].columns, args.format))
         except OSError as exc:
-            # A closed stdout (a reader that went away). Point the descriptor
-            # at the null device, so the interpreter's own flush at exit
-            # neither fails nor prints a second record.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            # A closed stdout (a reader that went away). Point its descriptor,
+            # if it has one, at the null device, so the interpreter's own
+            # flush at exit neither fails nor prints a second record.
+            try:
+                fd = sys.stdout.fileno()
+            except (AttributeError, OSError):  # None, or a stream with no descriptor
+                fd = None
+            if fd is not None:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
             _print_error(f"cannot write output: {exc}")
             return 2
         return output.status
@@ -365,8 +382,8 @@ def run() -> int:
 
     Either way it freezes the heap on the way out. Every object the run
     left moves into the permanent generation, which the full collections
-    CPython runs at shutdown skip: after a `verify` run, about 14,300
-    tracked objects from 133 modules, which each of them would walk.
+    CPython runs at shutdown skip: after a `verify` run, about 12,800
+    tracked objects from 121 modules, which each of them would walk.
     Nothing else at exit changes: atexit handlers, the stdio flush and
     module teardown still run. Frozen cycles are never collected, so a
     `__del__` in one would not run; the checkpoint file is closed by its

@@ -7,18 +7,15 @@ Everything here is pure and exact; no operation ever rounds or wraps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .residues import is_prime
 
 
-@dataclass(frozen=True)
-class PAdicSplit:
+class PAdicSplit(namedtuple("PAdicSplit", "base valuation unit")):
     """Decomposition x = base**valuation * unit with base not dividing unit."""
 
-    base: int
-    valuation: int
-    unit: int
+    __slots__ = ()
 
     def value(self) -> int:
         """Reconstruct the split integer exactly."""

@@ -16,10 +16,10 @@ analysis, and inverts the congruence into a residue sieve on d/n where
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .apsum import APWindow, window_sum_sq_closed
-from .exactarith import PAdicSplit, _split
+from .exactarith import _split
 from .residues import is_prime, sqrt_mod_prime
 
 # Obstruction kinds carried by TraceReport. The tracing operations below
@@ -29,8 +29,7 @@ VALUATION_PARITY = "VALUATION_PARITY"
 MOD3_QUOTIENT = "MOD3_QUOTIENT"
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(namedtuple("TraceReport", "window prime n_split d_split obstruction details")):
     """The concrete obstruction refuting perfect-squareness of one window.
 
     Every integer in `details` is recomputable from the window alone:
@@ -40,23 +39,15 @@ class TraceReport:
     factors of 3 removed.
     """
 
-    window: APWindow
-    prime: int
-    n_split: PAdicSplit
-    d_split: PAdicSplit
-    obstruction: str
-    details: dict[str, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(
+    namedtuple("ObstructionWitness", "prime n_residue d_residue inverse witness")
+):
     """Residue data exhibiting 3 as a square mod p when the congruence holds."""
 
-    prime: int
-    n_residue: int
-    d_residue: int
-    inverse: int
-    witness: int
+    __slots__ = ()
 
 
 def _require_unit_pair(n_unit: int, d_unit: int, p: int) -> None:

@@ -17,7 +17,7 @@ DETERMINISTIC_LIMIT every verdict is exact; at or beyond it the 14 bases
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -52,13 +52,10 @@ _WITNESS_TIERS = (
 _PROBABLE_WITNESSES = (*_SMALL_PRIMES, 43)
 
 
-@dataclass(frozen=True)
-class PrimeProfile:
+class PrimeProfile(namedtuple("PrimeProfile", "p residue_mod_12 legendre3")):
     """A prime p >= 5, its class mod 12, and the quadratic character of 3."""
 
-    p: int
-    residue_mod_12: int
-    legendre3: int
+    __slots__ = ()
 
 
 def is_prime(n: int) -> bool:

@@ -55,9 +55,10 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections import namedtuple
+from collections.abc import Set
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import AbstractSet, BinaryIO, NamedTuple
+from io import BufferedRandom
 
 from .apsum import APWindow, window_form, window_sum_sq_closed
 from .obstruction import _require_nonresidue_prime, residue_sieve
@@ -68,8 +69,12 @@ class CheckpointMismatch(ValueError):
     """The checkpoint file does not belong to the requested run."""
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(
+    namedtuple(
+        "SearchReport",
+        "k n_range d_range windows_checked solutions sieve_used elapsed checkpoint_state",
+    )
+):
     """Outcome of one grid scan.
 
     `windows_checked` counts cells whose sum underwent a square
@@ -80,14 +85,7 @@ class SearchReport:
     serialized reports.
     """
 
-    k: int
-    n_range: tuple[int, int]
-    d_range: tuple[int, int]
-    windows_checked: int
-    solutions: tuple[tuple[int, int, int], ...]
-    sieve_used: bool
-    elapsed: float
-    checkpoint_state: str | None
+    __slots__ = ()
 
 
 def _validate_bounds(n_max: int, d_max: int) -> None:
@@ -114,7 +112,7 @@ def _bit_tile(period: int, m: int, width: int) -> int:
     return period * (((1 << m * reps) - 1) // ((1 << m) - 1))
 
 
-class _RowTables(NamedTuple):
+class _RowTables(namedtuple("_RowTables", "form width every_cell every_kth_cell squares")):
     """Per-length tables of the line kernel, built once per run.
 
     A line is a row (d fixed, x = n) or a column (n fixed, x = d). A
@@ -128,11 +126,7 @@ class _RowTables(NamedTuple):
     columns.
     """
 
-    form: tuple[int, int, int]
-    width: int
-    every_cell: int
-    every_kth_cell: int
-    squares: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ()
 
 
 def _row_tables(k: int, length: int, form: tuple[int, int, int] | None = None) -> _RowTables:
@@ -168,7 +162,7 @@ def _scan_row(
     hi: int,
     *,
     tables: _RowTables,
-    classes: AbstractSet[int] | None = None,
+    classes: Set[int] | None = None,
 ) -> list[tuple[int, int]]:
     """Square-check the cells x in [lo, hi] of the row or column (as
     `tables` says) whose other coordinate is `fixed`; (x, root) pairs in
@@ -219,7 +213,7 @@ def _record(solutions: list[tuple[int, int, int]], k: int, n: int, d: int, t: in
     solutions.append((n, d, t))
 
 
-def _resume_rows(fh: BinaryIO, fingerprint: str, d_max: int) -> set[int]:
+def _resume_rows(fh: BufferedRandom, fingerprint: str, d_max: int) -> set[int]:
     """Completed d rows in an open checkpoint file. Only once every line
     has passed is the torn final line cut and, if no line is left, the
     header written."""

@@ -516,6 +516,103 @@ def test_closed_stdout_is_exit_2_with_one_error_line():
     assert len(lines) == 1 and "Broken pipe" in json.loads(lines[0])["error"]
 
 
+def test_stdout_closed_before_start_is_exit_2(monkeypatch):
+    # Python sets sys.stdout to None when descriptor 1 is closed at start.
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(["classify", "--p", "7"]) == 2
+    assert stderr.getvalue() == '{"error":"cannot write output: stdout is closed"}\n'
+
+
+def test_stdout_closed_before_start_is_exit_2_in_a_child():
+    proc = subprocess.run(
+        ["/bin/sh", "-c", '"$0" -m apsquares classify --p 7 >&-', sys.executable],
+        capture_output=True,
+        text=True,
+        timeout=CLI_TIMEOUT_S,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == '{"error":"cannot write output: stdout is closed"}\n'
+
+
+class _ShortRaw(io.RawIOBase):
+    """A raw stream that takes 10 bytes of its first write, then raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.taken = b""
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return super().fileno() if self.fd is None else self.fd
+
+    def write(self, data):
+        if self.taken:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        self.taken = bytes(data[:10])
+        return 10
+
+
+@pytest.mark.parametrize("descriptor", [True, False], ids=["descriptor", "no-descriptor"])
+def test_short_write_then_broken_pipe_is_exit_2(monkeypatch, descriptor):
+    # As under PYTHONUNBUFFERED=1: the text layer writes through to a raw
+    # file, and ignores the short count it returns.
+    fd = os.open(os.devnull, os.O_WRONLY)
+    raw = _ShortRaw(fd if descriptor else None)
+    stdout = io.TextIOWrapper(raw, encoding="ascii", write_through=True)
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert cli.main(["sum", "--k", "3"]) == 2
+    finally:
+        monkeypatch.undo()
+        stdout.close()
+        os.close(fd)
+    assert raw.taken == b'{"k":3,"su'
+    assert stderr.getvalue() == '{"error":"cannot write output: [Errno 32] Broken pipe"}\n'
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reader_that_goes_away_mid_report_is_exit_2(unbuffered):
+    # A 167,989-byte report, so the child is still writing when the reader closes the pipe.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "apsquares", "search", "--k", "2",
+         "--max-n", "4000", "--max-d", "4000", "--format", "text"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert os.read(proc.stdout.fileno(), 100)
+        proc.stdout.close()
+        err = proc.communicate(timeout=CLI_TIMEOUT_S)[1]
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2
+    assert err == b'{"error":"cannot write output: [Errno 32] Broken pipe"}\n'
+
+
+def test_cli_imports_neither_dataclasses_nor_typing():
+    # Without `site`, as on a clean interpreter: nothing else has loaded them.
+    probe = (
+        "import sys, apsquares.cli; "
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=CLI_TIMEOUT_S
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "stderr",
     [

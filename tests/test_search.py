@@ -1,6 +1,5 @@
 """Tests for grid verification, discovery, sieving, and checkpoints."""
 
-import dataclasses
 import math
 
 import pytest
@@ -32,7 +31,7 @@ def _brute_solutions(k, n_max, d_max):
 
 def _essence(report):
     # identical reports up to wall time and resume token
-    return dataclasses.replace(report, elapsed=0.0, checkpoint_state=None)
+    return report._replace(elapsed=0.0, checkpoint_state=None)
 
 
 def test_verify_pinned_grids():
