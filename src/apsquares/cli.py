@@ -11,6 +11,13 @@ that cannot be opened, read or written, and for a stdout that cannot be
 written (such as a closed pipe), 3 when an internal check fails,
 130 when interrupted, 143 when terminated by SIGTERM.
 
+`parse_args` reads argv straight from `_COMMANDS`: the command first, then
+its flags, each spelled in full (no abbreviations), as `--flag value` or
+`--flag=value`; the last occurrence of a flag wins. A value may start with
+`-` only if it is a negative number. `-h` or `--help`, first or after the
+command, prints a short usage to stdout and exits 0. A usage error exits 2
+with CPython 3.11 argparse's message.
+
 `main(argv)` runs one command in-process: it parses, runs and writes
 under one SIGTERM trap and one lift of the int/str digit limit, restores
 both, and leaves the heap as it is. `run()` is the process entry point,
@@ -22,15 +29,15 @@ CPython runs at teardown skip the objects the run left: about 8 ms of an
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import signal
 import sys
-import threading
 from collections import namedtuple
 from collections.abc import Iterable
+from types import SimpleNamespace
 
 from .apsum import APWindow, check_window_square, sum_first_k, sum_sq_first_k
 from .obstruction import trace_length3, valuation_law
@@ -77,12 +84,6 @@ def _print_error(message: str) -> None:
         pass  # no usable stderr (None, closed or full): the record is lost, the code stays
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        _print_error(message)
-        raise SystemExit(2)
-
-
 def _canonical(value: object) -> object:
     # A bool is an int of magnitude at most 1, so it stays a JSON boolean.
     if isinstance(value, int):
@@ -124,7 +125,7 @@ def _checked_prime_param(value: int, flag: str) -> int:
     return value
 
 
-def _classify(args: argparse.Namespace) -> _Output:
+def _classify(args: SimpleNamespace) -> _Output:
     profile = classify_prime_mod12(_checked_prime_param(args.p, "--p"))
     kind = "residue" if profile.legendre3 == 1 else "non-residue"
     payload = {"p": profile.p, "mod12": profile.residue_mod_12, "legendre3": profile.legendre3}
@@ -132,13 +133,13 @@ def _classify(args: argparse.Namespace) -> _Output:
     return _Output(payload, text)
 
 
-def _legendre(args: argparse.Namespace) -> _Output:
+def _legendre(args: SimpleNamespace) -> _Output:
     symbol = legendre_euler(args.a, _checked_prime_param(args.p, "--p"))
     text = f"({args.a} / {args.p}) = {symbol}"
     return _Output({"a": args.a, "p": args.p, "symbol": symbol}, text)
 
 
-def _sqrtmod(args: argparse.Namespace) -> _Output:
+def _sqrtmod(args: SimpleNamespace) -> _Output:
     roots = sqrt_mod_prime(args.a, _checked_prime_param(args.p, "--p"))
     if roots is None:
         text = f"x^2 = {args.a} (mod {args.p}) has no solution"
@@ -149,14 +150,14 @@ def _sqrtmod(args: argparse.Namespace) -> _Output:
     return _Output({"a": args.a, "p": args.p, "roots": roots}, text, [row])
 
 
-def _sum(args: argparse.Namespace) -> _Output:
+def _sum(args: SimpleNamespace) -> _Output:
     linear = sum_first_k(args.k)
     squares = sum_sq_first_k(args.k)
     text = f"1 + ... + {args.k} = {linear}; 1^2 + ... + {args.k}^2 = {squares}"
     return _Output({"k": args.k, "sum": linear, "sum_sq": squares}, text)
 
 
-def _check(args: argparse.Namespace) -> _Output:
+def _check(args: SimpleNamespace) -> _Output:
     window = APWindow(n=args.n, d=args.d, k=args.k)
     outcome = check_window_square(window)
     if outcome.root is not None:
@@ -169,7 +170,7 @@ def _check(args: argparse.Namespace) -> _Output:
     return _Output({**window._asdict(), **outcome._asdict()}, text)
 
 
-def _trace(args: argparse.Namespace) -> _Output:
+def _trace(args: SimpleNamespace) -> _Output:
     window = APWindow(n=args.n, d=args.d, k=_checked_prime_param(args.k, "--k"))
     report = trace_length3(window) if window.k == 3 else valuation_law(window)
     payload = {
@@ -194,7 +195,7 @@ def _trace(args: argparse.Namespace) -> _Output:
 
 
 def _grid_output(
-    args: argparse.Namespace, report: SearchReport, text: str, status: int = 0, **fields: object
+    args: SimpleNamespace, report: SearchReport, text: str, status: int = 0, **fields: object
 ) -> _Output:
     """The verify and search report: payload, and one `k,n,d,t` CSV row per solution."""
     payload = {
@@ -207,7 +208,7 @@ def _grid_output(
     return _Output(payload, text, [[report.k, *sol] for sol in report.solutions], status)
 
 
-def _verify(args: argparse.Namespace) -> _Output:
+def _verify(args: SimpleNamespace) -> _Output:
     p = _checked_prime_param(args.p, "--p")
     report = verify_no_solutions(p, args.max_n, args.max_d, checkpoint=args.checkpoint)
     if report.solutions:
@@ -223,7 +224,7 @@ def _verify(args: argparse.Namespace) -> _Output:
     return _grid_output(args, report, text, 0, p=report.k)
 
 
-def _search(args: argparse.Namespace) -> _Output:
+def _search(args: SimpleNamespace) -> _Output:
     # Only the sieve asks whether k is prime.
     k = _checked_prime_param(args.k, "--k") if args.sieve else args.k
     report = find_solutions(k, args.max_n, args.max_d, use_sieve=args.sieve)
@@ -236,63 +237,159 @@ def _search(args: argparse.Namespace) -> _Output:
     return _grid_output(args, report, "\n".join(lines), k=report.k, sieve=report.sieve_used)
 
 
-# `columns` is the CSV header, and `run` the handler. `flags` maps a flag to its help, for a
-# required integer flag, or to argparse keywords for any other.
+# `columns` is the CSV header, and `run` the handler. `flags` maps a flag to its help and its
+# kind: `int` for a required integer, `str` for an optional string, `bool` for a switch.
 _Command = namedtuple("_Command", "help columns run flags")
 
 
 _COMMANDS = {
     "classify": _Command(
-        "mod-12 profile of a prime >= 5", "p,mod12,legendre3", _classify, {"--p": "prime >= 5"}),
+        "mod-12 profile of a prime >= 5", "p,mod12,legendre3", _classify,
+        {"--p": ("prime >= 5", int)}),
     "legendre": _Command(
-        "Legendre symbol (a/p)", "a,p,symbol", _legendre, {"--a": None, "--p": "odd prime"}),
+        "Legendre symbol (a/p)", "a,p,symbol", _legendre,
+        {"--a": (None, int), "--p": ("odd prime", int)}),
     "sqrtmod": _Command(
         "square roots of a modulo an odd prime", "a,p,root_small,root_large", _sqrtmod,
-        {"--a": None, "--p": "odd prime not dividing a"}),
-    "sum": _Command("sum and square-sum of 1..k", "k,sum,sum_sq", _sum, {"--k": None}),
+        {"--a": (None, int), "--p": ("odd prime not dividing a", int)}),
+    "sum": _Command("sum and square-sum of 1..k", "k,sum,sum_sq", _sum, {"--k": (None, int)}),
     "check": _Command(
         "is the window's square sum a perfect square?", "n,d,k,sum,floor_root,root", _check,
-        {"--n": "first term", "--d": "common difference", "--k": "window length"}),
+        {"--n": ("first term", int), "--d": ("common difference", int),
+         "--k": ("window length", int)}),
     "trace": _Command(
         "obstruction trace for k = 3 or prime k >= 5 with 3 a non-residue",
         "n,d,k,prime,obstruction,valuation,quotient", _trace,
-        {"--n": None, "--d": None, "--k": None}),
+        {"--n": (None, int), "--d": (None, int), "--k": (None, int)}),
     "verify": _Command(
         "exhaustively confirm there are no square windows of length p", "k,n,d,t", _verify,
-        {"--p": "3, or a prime >= 5 with 3 a non-residue", "--max-n": None, "--max-d": None,
-         "--checkpoint": {"help": "row-checkpoint file for resume"}}),
+        {"--p": ("3, or a prime >= 5 with 3 a non-residue", int), "--max-n": (None, int),
+         "--max-d": (None, int), "--checkpoint": ("row-checkpoint file for resume", str)}),
     "search": _Command(
         "find square windows of length k", "k,n,d,t", _search,
-        {"--k": "window length >= 2", "--max-n": None, "--max-d": None,
-         "--sieve": {"action": "store_true", "help": "prune with the d/n residue sieve"}}),
+        {"--k": ("window length >= 2", int), "--max-n": (None, int), "--max-d": (None, int),
+         "--sieve": ("prune with the d/n residue sieve", bool)}),
 }
 
+# Every command also takes `--format`, whose kind is its tuple of choices, and `-h`/`--help`.
+_FORMAT_FLAG = {"--format": (f"output format (default: json, or ${_FORMAT_ENV})", _FORMATS)}
+_HELP_FLAGS = ("-h", "--help")
+# A dash word in this form is a negative number, so it can be a flag's value.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="apsquares",
-        description="Sums of squares of arithmetic-progression windows: "
-        "classification, obstruction traces, verification, and search.",
-    )
-    common = _Parser(add_help=False)
+
+def _usage_error(message: str) -> SystemExit:
+    _print_error(message)
+    return SystemExit(2)
+
+
+def _looks_like_flag(token: str, known: set[str]) -> bool:
+    # A known flag, alone or before "=", or a dash word that is neither a negative number nor
+    # spaced; any other token can be a flag's value.
+    if token[:1] != "-" or len(token) == 1:
+        return False
+    if token.partition("=")[0] in known:
+        return True
+    return not (_NEGATIVE_NUMBER.match(token) or " " in token)
+
+
+def _spelling(flag: str, kind: object) -> str:
+    # As argparse writes a flag in a usage line: an optional one in brackets.
+    if kind is int:
+        return f"{flag} {flag[2:].upper().replace('-', '_')}"
+    if kind is str:
+        return f"[{flag} {flag[2:].upper()}]"
+    return f"[{flag} {{{','.join(kind)}}}]" if isinstance(kind, tuple) else f"[{flag}]"
+
+
+def _usage(name: str | None) -> str:
+    """The `-h`/`--help` text: the commands, or one command's flags."""
+    if name is None:
+        title = "COMMAND --FLAG VALUE ..."
+        about = (
+            "Sums of squares of arithmetic-progression windows: classification,\n"
+            "obstruction traces, verification, and search. `apsquares COMMAND --help`\n"
+            "lists a command's flags."
+        )
+        rows = [(command, entry.help) for command, entry in _COMMANDS.items()]
+    else:
+        title, about = f"{name} --FLAG VALUE ...", _COMMANDS[name].help
+        flags = {**_COMMANDS[name].flags, **_FORMAT_FLAG}
+        rows = [(_spelling(flag, kind), text) for flag, (text, kind) in flags.items()]
+        rows.append(("[-h, --help]", "show this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"usage: apsquares {title}", "", about, ""]
+    lines += [f"  {left:<{width}}{text or ''}".rstrip() for left, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Parse `COMMAND --FLAG VALUE ...` into the command's flag values.
+
+    The command comes first. Each flag is spelled in full, as `--flag value` or
+    `--flag=value`, and its last occurrence wins; every occurrence is checked.
+    A value may start with `-` only if it is a negative number. A usage error
+    writes one JSON record to stderr and raises `SystemExit(2)`, with CPython
+    3.11 argparse's message. `-h` or `--help` returns a namespace whose
+    `command` is None and whose `usage` is the help text.
+    """
+    if not argv:
+        raise _usage_error("the following arguments are required: command")
+    name = argv[0]
+    if name in _HELP_FLAGS:
+        return SimpleNamespace(command=None, usage=_usage(None))
+    if name not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _usage_error(f"argument command: invalid choice: {name!r} (choose from {choices})")
+    flags = {**_COMMANDS[name].flags, **_FORMAT_FLAG}
     env_format = os.environ.get(_FORMAT_ENV)
-    common.add_argument(
-        "--format",
-        choices=_FORMATS,
-        # An unrecognised environment value is ignored, not an error.
-        default=env_format if env_format in _FORMATS else "json",
-        help="output format (default: json, or $%s)" % _FORMAT_ENV,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=command.help)
-        for flag, spec in command.flags.items():
-            kw = spec if isinstance(spec, dict) else {"type": int, "required": True, "help": spec}
-            sp.add_argument(flag, **kw)
-    return parser
+    # An unrecognised environment value is ignored, not an error.
+    values = {"command": name, "format": env_format if env_format in _FORMATS else "json"}
+    for flag, (_, kind) in _COMMANDS[name].flags.items():
+        values[flag[2:].replace("-", "_")] = False if kind is bool else None
+    known = {*flags, *_HELP_FLAGS}
+    seen, unrecognized = set(), []
+    index = 1
+    while index < len(argv):
+        token = argv[index]
+        index += 1
+        flag, explicit, value = token.partition("=")
+        if flag in _HELP_FLAGS:
+            if explicit:
+                raise _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+            return SimpleNamespace(command=None, usage=_usage(name))
+        if flag not in flags:
+            unrecognized.append(token)
+            continue
+        seen.add(flag)
+        kind = flags[flag][1]
+        if kind is bool:
+            if explicit:
+                raise _usage_error(f"argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        elif not explicit:
+            if index == len(argv) or _looks_like_flag(argv[index], known):
+                raise _usage_error(f"argument {flag}: expected one argument")
+            value = argv[index]
+            index += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _usage_error(f"argument {flag}: invalid int value: {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise _usage_error(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        values[flag[2:].replace("-", "_")] = value
+    missing = [flag for flag, (_, kind) in flags.items() if kind is int and flag not in seen]
+    if missing:
+        raise _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        raise _usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return SimpleNamespace(**values)
 
 
-def dispatch(args: argparse.Namespace) -> _Output:
+def dispatch(args: SimpleNamespace) -> _Output:
     return _COMMANDS[args.command].run(args)
 
 
@@ -327,18 +424,24 @@ def _raise_terminated(signum: int, frame: object) -> None:
 def main(argv: list[str] | None = None) -> int:
     # Exact sums outgrow CPython's 4300-digit int <-> str limit (3.10.7 on); lift it for the run.
     digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    # Only the main thread may install signal handlers.
-    trap = threading.current_thread() is threading.main_thread()
     handler = signal.getsignal(signal.SIGTERM)
+    trapped = True
     try:
+        try:
+            signal.signal(signal.SIGTERM, _raise_terminated)
+        except ValueError:  # only the main thread may install signal handlers
+            trapped = False
         if digits is not None:
             sys.set_int_max_str_digits(0)
-        if trap:
-            signal.signal(signal.SIGTERM, _raise_terminated)
-        args = build_parser().parse_args(argv)
-        output = dispatch(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.command is None:  # -h or --help
+            text, status = args.usage, 0
+        else:
+            output = dispatch(args)
+            text = render(output, _COMMANDS[args.command].columns, args.format)
+            status = output.status
         try:
-            _write_stdout(render(output, _COMMANDS[args.command].columns, args.format))
+            _write_stdout(text)
         except OSError as exc:
             # A closed stdout (a reader that went away). Point its descriptor,
             # if it has one, at the null device, so the interpreter's own
@@ -353,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
                 os.close(devnull)
             _print_error(f"cannot write output: {exc}")
             return 2
-        return output.status
+        return status
     except (ValueError, OSError) as exc:
         # OSError: an unusable checkpoint path, which exit 1 would report as a counterexample.
         _print_error(str(exc))
@@ -370,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         _print_error("terminated")
         return 143
     finally:
-        if trap:
+        if trapped:
             signal.signal(signal.SIGTERM, handler)
         if digits is not None:
             sys.set_int_max_str_digits(digits)

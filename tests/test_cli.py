@@ -1,8 +1,11 @@
 """Golden-output and exit-code tests for the command-line interface."""
 
+import argparse
+import contextlib
 import errno
 import gc
 import io
+import itertools
 import json
 import os
 import signal
@@ -13,6 +16,8 @@ import time
 
 import pytest
 from conftest import CLI_TIMEOUT_S, direct_square_sum, run_cli
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import apsquares.cli as cli
 import apsquares.search as search
@@ -613,6 +618,196 @@ def test_cli_imports_neither_dataclasses_nor_typing():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_imports_no_argument_parsing_or_threading_modules():
+    # Without `site`, as on a clean interpreter: nothing else has loaded them.
+    probe = (
+        "import sys, apsquares.cli; "
+        "print(sorted({'argparse', 'gettext', 'locale', 'threading'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=CLI_TIMEOUT_S
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_help_lists_the_commands_and_a_commands_flags():
+    top = run_cli("--help")
+    assert top.returncode == 0 and top.stderr == ""
+    assert all(name in top.stdout for name in cli._COMMANDS)
+    verify = run_cli("verify", "--help")
+    assert verify.returncode == 0 and verify.stderr == ""
+    assert all(flag in verify.stdout for flag in ("--p", "--max-n", "--max-d", "--checkpoint"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["search", "-h"], ["classify", "--p", "7", "--bogus", "--help"]],
+    ids=["top", "command", "after-flags"],
+)
+def test_help_in_process_is_exit_0_with_the_usage_on_stdout(argv, capsys):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: apsquares") and captured.err == ""
+
+
+# CPython 3.11 argparse's messages, as the CLI printed them while it parsed with argparse.
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (
+        ["frobnicate"],
+        "argument command: invalid choice: 'frobnicate' (choose from 'classify', 'legendre', "
+        "'sqrtmod', 'sum', 'check', 'trace', 'verify', 'search')",
+    ),
+    (["verify", "--p", "5"], "the following arguments are required: --max-n, --max-d"),
+    (["sum", "--k", "3", "extra"], "unrecognized arguments: extra"),
+    (
+        ["classify", "--p", "7", "--format", "xml"],
+        "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')",
+    ),
+    (["classify", "--p"], "argument --p: expected one argument"),
+    (["check", "--n", "x", "--d", "1", "--k", "3"], "argument --n: invalid int value: 'x'"),
+    (
+        ["search", "--k", "3", "--max-n", "1", "--max-d", "1", "--sieve=1"],
+        "argument --sieve: ignored explicit argument '1'",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=[m.split(":")[0] for _, m in USAGE_ERRORS])
+def test_usage_error_messages_are_byte_identical(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"error":' + json.dumps(message) + "}\n"
+
+
+def test_negative_values_and_last_occurrence(capsys):
+    assert cli.main(["legendre", "--a", "-3", "--p=7", "--p", "5", "--format=csv"]) == 0
+    assert capsys.readouterr().out == "a,p,symbol\n-3,5,-1\n"
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["search", "--k", "3", "--max-n", "1", "--max-d", "1", "--si"], "--si"),
+        (["verify", "--p", "5", "--max-n", "1", "--max-d", "1", "--max", "2"], "--max 2"),
+        (["classify", "--p", "7", "--form=csv"], "--form=csv"),
+    ],
+)
+def test_flag_abbreviations_are_unrecognized(argv, extra, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert json.loads(capsys.readouterr().err) == {"error": f"unrecognized arguments: {extra}"}
+
+
+class _Rejected(Exception):
+    pass
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Rejected(message)
+
+
+def _argparse_oracle():
+    """argparse built from `cli._COMMANDS` the way the CLI built its parser when it used argparse."""
+    parser = _OracleParser(prog="apsquares")
+    common = _OracleParser(add_help=False)
+    common.add_argument("--format", choices=cli._FORMATS, default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli._COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common])
+        for flag, (_, kind) in command.flags.items():
+            if kind is bool:
+                sp.add_argument(flag, action="store_true")
+            elif kind is int:
+                sp.add_argument(flag, type=int, required=True)
+            else:
+                sp.add_argument(flag)
+    return parser
+
+
+_ORACLE = _argparse_oracle()
+_REAL_FLAGS = sorted({flag for command in cli._COMMANDS.values() for flag in command.flags})
+_LONG_FLAGS = [*_REAL_FLAGS, "--format", "--help"]
+_FLAG_TOKENS = st.sampled_from([*_REAL_FLAGS, "--format", "--bogus", "-x"])
+_INT_VALUES = st.one_of(
+    st.integers(-(10**20), 10**20).map(str), st.sampled_from(["9" * 5000, "-" + "7" * 4400])
+)
+_JUNK = ["", " ", "x", "seven", "1.5", "-1.5", "+7", " 7 ", "1_000", "-1_0", "\u0663",
+         "\U0001F600", "-", "-x", "-5 ", "json", "csv", "text", "xml", "7=8", "--bogus=1"]
+_VALUES = st.one_of(_INT_VALUES, st.sampled_from(_JUNK), st.text(max_size=4))
+_PIECES = st.one_of(
+    st.tuples(_FLAG_TOKENS, _VALUES).map(list),
+    st.tuples(_FLAG_TOKENS, _VALUES).map(lambda pair: ["=".join(pair)]),
+    _FLAG_TOKENS.map(lambda flag: [flag]),
+    _VALUES.map(lambda value: [value]),
+)
+
+
+def _help_or_abbreviation(token):
+    # Help exits 0 with a different text, and abbreviations and "--" are where the two parsers
+    # part on purpose; each has its own test.
+    head = token.partition("=")[0]
+    if token.startswith("-h") or head == "--help":
+        return True
+    return head.startswith("--") and head not in _LONG_FLAGS and any(
+        flag.startswith(head) for flag in _LONG_FLAGS
+    )
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", ""]))
+    pieces = []
+    flags = cli._COMMANDS[name].flags if name in cli._COMMANDS else {}
+    for flag, (_, kind) in flags.items():
+        if draw(st.integers(0, 9)) == 0:
+            continue  # mostly present, so most argvs reach every field
+        value = draw(_INT_VALUES if kind is int and draw(st.integers(0, 7)) else _VALUES)
+        spellings = [[flag, value], [f"{flag}={value}"]]
+        pieces.append(draw(st.sampled_from([[flag], [flag], *spellings] if kind is bool else spellings)))
+    pieces += draw(st.lists(_PIECES, max_size=3))
+    if draw(st.booleans()):
+        pieces.append(["--format", draw(st.sampled_from([*cli._FORMATS, "xml"]))])
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(pieces)))]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the CLI reproduces CPython 3.11's argparse, whose rules and wording later releases change",
+)
+@settings(max_examples=400, deadline=None)
+@example(["legendre", "--a", "-3", "--p", "5"])
+@example(["check", "--n", "--d= 1", "--d", "1", "--k", "3"])  # a spaced value that is a flag
+@given(_argvs().filter(lambda argv: not any(map(_help_or_abbreviation, argv))))
+def test_parse_args_agrees_with_argparse(argv):
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as `cli.main` does, for both parsers
+    try:
+        expected_err = io.StringIO()
+        try:
+            expected = vars(_ORACLE.parse_args(argv))
+        except _Rejected as rejected:
+            expected = None
+            with contextlib.redirect_stderr(expected_err):
+                cli._print_error(str(rejected))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                got = vars(cli.parse_args(argv))
+            except SystemExit as exit_info:
+                got = exit_info.code
+    finally:
+        sys.set_int_max_str_digits(digits)
+    assert got == (2 if expected is None else expected)
+    assert err.getvalue() == expected_err.getvalue()
+
+
 @pytest.mark.parametrize(
     "stderr",
     [
@@ -678,7 +873,7 @@ def test_main_parses_long_integers_and_restores_the_digit_limit(capsys):
     assert cli.main(["check", "--n", n, "--d", "1", "--k", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == n
     assert sys.get_int_max_str_digits() == before
-    with pytest.raises(SystemExit):  # a usage error leaves through argparse
+    with pytest.raises(SystemExit):  # a usage error leaves through SystemExit(2)
         cli.main(["check", "--n", "x", "--d", "1", "--k", "2"])
     capsys.readouterr()
     assert sys.get_int_max_str_digits() == before
