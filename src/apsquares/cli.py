@@ -20,15 +20,18 @@ with CPython 3.11 argparse's message.
 
 `main(argv)` runs one command in-process: it parses, runs and writes
 under one SIGTERM trap and one lift of the int/str digit limit, restores
-both, and leaves the heap as it is. `run()` is the process entry point,
-behind both `python -m apsquares` and the `apsquares` script: it
-returns `main()`'s status after a `gc.freeze()`, so the full collections
-CPython runs at teardown skip the objects the run left: about 8 ms of an
-80 ms 1000² `verify` under CPython 3.11 on one CPU of a 2-CPU Xeon host.
+both, and leaves the heap as it is. Parsing, the handlers and the write
+only raise; `main` alone writes the error record and returns the exit
+code, a usage error's too. `run()`, behind both `python -m apsquares` and
+the `apsquares` script, returns `main()`'s status after a `gc.freeze()`,
+so the full collections CPython runs at teardown skip the objects the
+run left: about 8 ms of an 80 ms 1000² `verify` under CPython 3.11 on
+one CPU of a 2-CPU Xeon host.
 """
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -278,11 +281,6 @@ _HELP_FLAGS = ("-h", "--help")
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _usage_error(message: str) -> SystemExit:
-    _print_error(message)
-    return SystemExit(2)
-
-
 def _looks_like_flag(token: str, known: set[str]) -> bool:
     # A known flag, alone or before "=", or a dash word that is neither a negative number nor
     # spaced; any other token can be a flag's value.
@@ -329,18 +327,18 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     The command comes first. Each flag is spelled in full, as `--flag value` or
     `--flag=value`, and its last occurrence wins; every occurrence is checked.
     A value may start with `-` only if it is a negative number. A usage error
-    writes one JSON record to stderr and raises `SystemExit(2)`, with CPython
-    3.11 argparse's message. `-h` or `--help` returns a namespace whose
-    `command` is None and whose `usage` is the help text.
+    raises `ValueError` with CPython 3.11 argparse's message; nothing is
+    written. `-h` or `--help` returns a namespace whose `command` is None and
+    whose `usage` is the help text.
     """
     if not argv:
-        raise _usage_error("the following arguments are required: command")
+        raise ValueError("the following arguments are required: command")
     name = argv[0]
     if name in _HELP_FLAGS:
         return SimpleNamespace(command=None, usage=_usage(None))
     if name not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
-        raise _usage_error(f"argument command: invalid choice: {name!r} (choose from {choices})")
+        raise ValueError(f"argument command: invalid choice: {name!r} (choose from {choices})")
     flags = {**_COMMANDS[name].flags, **_FORMAT_FLAG}
     env_format = os.environ.get(_FORMAT_ENV)
     # An unrecognised environment value is ignored, not an error.
@@ -356,7 +354,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         flag, explicit, value = token.partition("=")
         if flag in _HELP_FLAGS:
             if explicit:
-                raise _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+                raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
             return SimpleNamespace(command=None, usage=_usage(name))
         if flag not in flags:
             unrecognized.append(token)
@@ -365,27 +363,27 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         kind = flags[flag][1]
         if kind is bool:
             if explicit:
-                raise _usage_error(f"argument {flag}: ignored explicit argument {value!r}")
+                raise ValueError(f"argument {flag}: ignored explicit argument {value!r}")
             value = True
         elif not explicit:
             if index == len(argv) or _looks_like_flag(argv[index], known):
-                raise _usage_error(f"argument {flag}: expected one argument")
+                raise ValueError(f"argument {flag}: expected one argument")
             value = argv[index]
             index += 1
         if kind is int:
             try:
                 value = int(value)
             except ValueError:
-                raise _usage_error(f"argument {flag}: invalid int value: {value!r}") from None
+                raise ValueError(f"argument {flag}: invalid int value: {value!r}") from None
         elif isinstance(kind, tuple) and value not in kind:
             choices = ", ".join(map(repr, kind))
-            raise _usage_error(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+            raise ValueError(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
         values[flag[2:].replace("-", "_")] = value
     missing = [flag for flag, (_, kind) in flags.items() if kind is int and flag not in seen]
     if missing:
-        raise _usage_error(f"the following arguments are required: {', '.join(missing)}")
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     if unrecognized:
-        raise _usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
+        raise ValueError(f"unrecognized arguments: {' '.join(unrecognized)}")
     return SimpleNamespace(**values)
 
 
@@ -394,23 +392,39 @@ def dispatch(args: SimpleNamespace) -> _Output:
 
 
 def _write_stdout(text: str) -> None:
-    """Write all of `text` to stdout and flush it, or raise OSError."""
+    """Write all of `text` to stdout and flush it, or raise OSError("cannot write output: ...")."""
     stdout = sys.stdout
-    if stdout is None:
-        raise OSError("stdout is closed")  # closed before start (`>&-`)
-    buffer = getattr(stdout, "buffer", None)
-    if buffer is None:  # a text-only stream
-        stdout.write(text)
+    try:
+        if stdout is None:
+            raise OSError("stdout is closed")  # closed before start (`>&-`)
+        buffer = getattr(stdout, "buffer", None)
+        if buffer is None:  # a text-only stream
+            stdout.write(text)
+            stdout.flush()
+            return
+        # An unbuffered stdout's raw file may take only part of a write and return the count, which
+        # the text layer ignores, or None if its non-blocking descriptor is full. So the encoded
+        # bytes go to the layer below, each write resuming where the last one ended.
         stdout.flush()
-        return
-    # An unbuffered stdout's raw file may take only part of a write and
-    # return the count, which the text layer ignores. So the encoded bytes
-    # go to the layer below, each write resuming where the last one ended.
-    stdout.flush()
-    data = memoryview(text.encode(stdout.encoding, stdout.errors))
-    while data:
-        data = data[buffer.write(data):]
-    buffer.flush()
+        data = memoryview(text.encode(stdout.encoding, stdout.errors))
+        while data:
+            written = buffer.write(data)
+            if written is None:
+                raise BlockingIOError(errno.EAGAIN, "write could not complete without blocking")
+            data = data[written:]
+        buffer.flush()
+    except OSError as exc:
+        # Such as a reader that went away. Point stdout's descriptor, if it has one, at the null
+        # device, so the interpreter's own flush at exit neither fails nor prints a second record.
+        try:
+            fd = stdout.fileno()
+        except (AttributeError, OSError):  # None, or a stream with no descriptor
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise OSError(f"cannot write output: {exc}") from None
 
 
 class _Terminated(BaseException):
@@ -440,25 +454,10 @@ def main(argv: list[str] | None = None) -> int:
             output = dispatch(args)
             text = render(output, _COMMANDS[args.command].columns, args.format)
             status = output.status
-        try:
-            _write_stdout(text)
-        except OSError as exc:
-            # A closed stdout (a reader that went away). Point its descriptor,
-            # if it has one, at the null device, so the interpreter's own
-            # flush at exit neither fails nor prints a second record.
-            try:
-                fd = sys.stdout.fileno()
-            except (AttributeError, OSError):  # None, or a stream with no descriptor
-                fd = None
-            if fd is not None:
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, fd)
-                os.close(devnull)
-            _print_error(f"cannot write output: {exc}")
-            return 2
+        _write_stdout(text)
         return status
     except (ValueError, OSError) as exc:
-        # OSError: an unusable checkpoint path, which exit 1 would report as a counterexample.
+        # A usage error, or an unusable checkpoint or stdout; exit 1 would read as a counterexample.
         _print_error(str(exc))
         return 2
     except RuntimeError as exc:
@@ -481,16 +480,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """Run `main()` on `sys.argv` in a process that exits next: return its
-    status, or let its `SystemExit` for a usage error pass.
+    status, after freezing the heap.
 
-    Either way it freezes the heap on the way out. Every object the run
-    left moves into the permanent generation, which the full collections
-    CPython runs at shutdown skip: after a `verify` run, about 12,800
-    tracked objects from 121 modules, which each of them would walk.
-    Nothing else at exit changes: atexit handlers, the stdio flush and
-    module teardown still run. Frozen cycles are never collected, so a
-    `__del__` in one would not run; the checkpoint file is closed by its
-    `with` before `main` returns, so no output depends on one.
+    Every object the run left moves into the permanent generation, which
+    the full collections CPython runs at shutdown skip: after a `verify`
+    run, about 12,800 tracked objects from 121 modules, which each of them
+    would walk. Nothing else at exit changes: atexit handlers, the stdio
+    flush and module teardown still run. Frozen cycles are never
+    collected, so a `__del__` in one would not run; the checkpoint file is
+    closed by its `with` before `main` returns, so no output depends on one.
     """
     try:
         return main()

@@ -43,7 +43,8 @@ is ``done d=<d>``, spelled exactly as written, for a completed row. A
 file belongs to the run when it and the header line are prefixes of one
 another; whatever follows its last newline, a torn header included, is
 a torn line, cut once every other line has passed. Any other line, or a
-row outside [1, d_max], is a hard error that leaves the file untouched.
+row outside [1, d_max], is a hard error that leaves the file untouched;
+so is a path that is not a regular file, refused before it is read.
 Rows are appended as they complete but flushed about once a second and
 on every exit, an exception included (the CLI turns SIGTERM into one);
 a SIGKILL loses at most about the last second of rows, which a resumed
@@ -54,6 +55,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import stat
 import time
 from collections import namedtuple
 from collections.abc import Set
@@ -217,6 +220,9 @@ def _resume_rows(fh: BufferedRandom, fingerprint: str, d_max: int) -> set[int]:
     """Completed d rows in an open checkpoint file. Only once every line
     has passed is the torn final line cut and, if no line is left, the
     header written."""
+    # A device such as /dev/zero would be read without end, and /dev/null refuses the cut.
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        raise CheckpointMismatch(f"checkpoint {fh.name!r} is not a regular file")
     fh.seek(0)
     try:
         data = fh.read().decode("ascii")

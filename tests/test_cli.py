@@ -430,9 +430,7 @@ def test_run_freezes_the_heap_on_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["apsquares", "frobnicate"])
     before = gc.get_freeze_count()
     try:
-        with pytest.raises(SystemExit) as exit_info:
-            cli.run()
-        assert exit_info.value.code == 2
+        assert cli.run() == 2
         assert gc.get_freeze_count() > before
     finally:
         gc.unfreeze()
@@ -581,6 +579,73 @@ def test_short_write_then_broken_pipe_is_exit_2(monkeypatch, descriptor):
     assert stderr.getvalue() == '{"error":"cannot write output: [Errno 32] Broken pipe"}\n'
 
 
+_WOULD_BLOCK_RECORD = (
+    f'{{"error":"cannot write output: [Errno {errno.EAGAIN}] write could not complete without '
+    'blocking"}\n'
+)
+
+
+class _WouldBlockRaw(io.RawIOBase):
+    """A raw stream whose non-blocking descriptor is full: its first write returns None."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes += 1
+        assert self.writes == 1, "the write was retried after it returned None"
+        return None
+
+
+def test_would_block_unbuffered_write_is_exit_2(monkeypatch):
+    raw = _WouldBlockRaw()
+    stdout = io.TextIOWrapper(raw, encoding="ascii", write_through=True)
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert cli.main(["sum", "--k", "3"]) == 2
+    finally:
+        monkeypatch.undo()
+        stdout.close()
+    assert raw.writes == 1
+    assert stderr.getvalue() == _WOULD_BLOCK_RECORD
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_full_non_blocking_stdout_is_exit_2(unbuffered):
+    # A pipe that is full and non-blocking: every write to it fails with EAGAIN at once.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    try:
+        os.set_blocking(write_end, False)
+        with contextlib.suppress(BlockingIOError):
+            while True:
+                os.write(write_end, b"x" * 65536)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "apsquares", "search", "--k", "2",
+             "--max-n", "4000", "--max-d", "4000", "--format", "text"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            err = proc.communicate(timeout=30)[1]  # a child spinning on the full pipe fails here
+        finally:
+            proc.kill()
+            proc.wait()
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert err.decode() == _WOULD_BLOCK_RECORD
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_reader_that_goes_away_mid_report_is_exit_2(unbuffered):
     # A 167,989-byte report, so the child is still writing when the reader closes the pipe.
@@ -676,12 +741,19 @@ USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=[m.split(":")[0] for _, m in USAGE_ERRORS])
 def test_usage_error_messages_are_byte_identical(argv, message, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(argv)
-    assert exit_info.value.code == 2
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == '{"error":' + json.dumps(message) + "}\n"
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=[m.split(":")[0] for _, m in USAGE_ERRORS])
+def test_parse_args_raises_usage_errors_and_writes_nothing(argv, message, capsys):
+    # Only `cli.main` writes the record and picks the exit code.
+    with pytest.raises(ValueError) as error:
+        cli.parse_args(argv)
+    assert str(error.value) == message
+    assert capsys.readouterr() == ("", "")
 
 
 def test_negative_values_and_last_occurrence(capsys):
@@ -698,9 +770,7 @@ def test_negative_values_and_last_occurrence(capsys):
     ],
 )
 def test_flag_abbreviations_are_unrecognized(argv, extra, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(argv)
-    assert exit_info.value.code == 2
+    assert cli.main(argv) == 2
     assert json.loads(capsys.readouterr().err) == {"error": f"unrecognized arguments: {extra}"}
 
 
@@ -789,23 +859,20 @@ def test_parse_args_agrees_with_argparse(argv):
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # as `cli.main` does, for both parsers
     try:
-        expected_err = io.StringIO()
         try:
             expected = vars(_ORACLE.parse_args(argv))
         except _Rejected as rejected:
-            expected = None
-            with contextlib.redirect_stderr(expected_err):
-                cli._print_error(str(rejected))
+            expected = str(rejected)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             try:
                 got = vars(cli.parse_args(argv))
-            except SystemExit as exit_info:
-                got = exit_info.code
+            except ValueError as exc:
+                got = str(exc)
     finally:
         sys.set_int_max_str_digits(digits)
-    assert got == (2 if expected is None else expected)
-    assert err.getvalue() == expected_err.getvalue()
+    assert got == expected
+    assert err.getvalue() == ""
 
 
 @pytest.mark.parametrize(
@@ -823,9 +890,7 @@ def test_unusable_stderr_keeps_the_exit_code(monkeypatch, stderr):
     monkeypatch.setattr(sys, "stdout", stdout)
     monkeypatch.setattr(sys, "stderr", stderr)
     assert cli.main(["verify", "--p", "13", "--max-n", "1", "--max-d", "1"]) == 2
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["frobnicate"])
-    assert exit_info.value.code == 2
+    assert cli.main(["frobnicate"]) == 2
     assert stdout.getvalue() == ""
 
 
@@ -873,8 +938,7 @@ def test_main_parses_long_integers_and_restores_the_digit_limit(capsys):
     assert cli.main(["check", "--n", n, "--d", "1", "--k", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == n
     assert sys.get_int_max_str_digits() == before
-    with pytest.raises(SystemExit):  # a usage error leaves through SystemExit(2)
-        cli.main(["check", "--n", "x", "--d", "1", "--k", "2"])
+    assert cli.main(["check", "--n", "x", "--d", "1", "--k", "2"]) == 2  # a usage error
     capsys.readouterr()
     assert sys.get_int_max_str_digits() == before
 
@@ -893,6 +957,13 @@ def test_cli_overlong_checkpoint_line_is_exit_2_malformed(tmp_path):
     proc = run_cli("verify", "--p", "5", "--max-n", "5", "--max-d", "5", "--checkpoint", str(ckpt))
     assert proc.returncode == 2
     assert "malformed" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_checkpoint_on_a_device_is_exit_2_naming_the_path(capsys):
+    assert cli.main(["verify", "--p", "5", "--max-n", "3", "--max-d", "3",
+                     "--checkpoint", "/dev/null"]) == 2
+    assert capsys.readouterr() == ("", '{"error":"checkpoint \'/dev/null\' is not a regular file"}\n')
 
 
 def test_oversized_error_records_are_capped(tmp_path):

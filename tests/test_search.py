@@ -1,6 +1,7 @@
 """Tests for grid verification, discovery, sieving, and checkpoints."""
 
 import math
+import os
 
 import pytest
 from conftest import direct_square_sum
@@ -272,6 +273,13 @@ def test_checkpoint_non_ascii_byte_rejected(tmp_path):
     path.write_bytes(b"k=5 n_max=30 d_max=12 sieve=0\n\xff\n")
     with pytest.raises(CheckpointMismatch, match="binary.ckpt"):
         verify_no_solutions(5, 30, 12, checkpoint=str(path))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_checkpoint_that_is_not_a_regular_file_is_refused():
+    # A character device is refused before it is read: /dev/zero would be read without end.
+    with pytest.raises(CheckpointMismatch, match="'/dev/null' is not a regular file"):
+        verify_no_solutions(5, 3, 3, checkpoint="/dev/null")
 
 
 def test_checkpoint_torn_tail_is_cut_before_append(tmp_path):
