@@ -22,11 +22,12 @@ with CPython 3.11 argparse's message.
 under one SIGTERM trap and one lift of the int/str digit limit, restores
 both, and leaves the heap as it is. Parsing, the handlers and the write
 only raise; `main` alone writes the error record and returns the exit
-code, a usage error's too. `run()`, behind both `python -m apsquares` and
-the `apsquares` script, returns `main()`'s status after a `gc.freeze()`,
-so the full collections CPython runs at teardown skip the objects the
-run left: about 8 ms of an 80 ms 1000² `verify` under CPython 3.11 on
-one CPU of a 2-CPU Xeon host.
+code, a usage error's too. `_write` is the one writer for both streams:
+stdout's report or help text and stderr's record. `run()`, behind both
+`python -m apsquares` and the `apsquares` script, returns `main()`'s
+status after a `gc.freeze()`, so the full collections CPython runs at
+teardown skip the objects the run left: about 8 ms of an 80 ms 1000²
+`verify` under CPython 3.11 on one CPU of a 2-CPU Xeon host.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import signal
 import sys
 from collections import namedtuple
 from collections.abc import Iterable
+from io import TextIOBase
 from types import SimpleNamespace
 
 from .apsum import APWindow, check_window_square, sum_first_k, sum_sq_first_k
@@ -81,9 +83,8 @@ def _print_error(message: str) -> None:
         cut = len(message) - head - tail
         message = f"{message[:head]}...[{cut} characters cut]...{message[len(message) - tail:]}"
     try:
-        sys.stderr.write(render_json({"error": message}))
-        sys.stderr.flush()
-    except (AttributeError, OSError, ValueError):
+        _write(sys.stderr, render_json({"error": message}))
+    except (OSError, ValueError):
         pass  # no usable stderr (None, closed or full): the record is lost, the code stays
 
 
@@ -219,12 +220,12 @@ def _verify(args: SimpleNamespace) -> _Output:
             f"COUNTEREXAMPLE: {len(report.solutions)} square window(s) of "
             f"length {report.k} found; this falsifies the nonexistence result"
         )
-        return _grid_output(args, report, text, 1, p=report.k)
-    text = (
-        f"p = {report.k}: no square windows for n <= {args.max_n}, "
-        f"d <= {args.max_d} ({report.windows_checked} windows checked)"
-    )
-    return _grid_output(args, report, text, 0, p=report.k)
+    else:
+        text = (
+            f"p = {report.k}: no square windows for n <= {args.max_n}, "
+            f"d <= {args.max_d} ({report.windows_checked} windows checked)"
+        )
+    return _grid_output(args, report, text, 1 if report.solutions else 0, p=report.k)
 
 
 def _search(args: SimpleNamespace) -> _Output:
@@ -391,22 +392,23 @@ def dispatch(args: SimpleNamespace) -> _Output:
     return _COMMANDS[args.command].run(args)
 
 
-def _write_stdout(text: str) -> None:
-    """Write all of `text` to stdout and flush it, or raise OSError("cannot write output: ...")."""
-    stdout = sys.stdout
+def _write(stream: TextIOBase | None, text: str) -> None:
+    """Write all of `text` to `stream`, stdout or stderr, and flush it, or raise OSError("cannot
+    write output: ...") after pointing that stream's descriptor, if it has one, at the null
+    device, so the interpreter's own flush at exit neither fails nor prints a second record."""
     try:
-        if stdout is None:
-            raise OSError("stdout is closed")  # closed before start (`>&-`)
-        buffer = getattr(stdout, "buffer", None)
+        if stream is None:  # closed before start (`>&-`); only stdout's record is ever seen
+            raise OSError("stdout is closed")
+        buffer = getattr(stream, "buffer", None)
         if buffer is None:  # a text-only stream
-            stdout.write(text)
-            stdout.flush()
+            stream.write(text)
+            stream.flush()
             return
-        # An unbuffered stdout's raw file may take only part of a write and return the count, which
+        # An unbuffered stream's raw file may take only part of a write and return the count, which
         # the text layer ignores, or None if its non-blocking descriptor is full. So the encoded
         # bytes go to the layer below, each write resuming where the last one ended.
-        stdout.flush()
-        data = memoryview(text.encode(stdout.encoding, stdout.errors))
+        stream.flush()
+        data = memoryview(text.encode(stream.encoding, stream.errors))
         while data:
             written = buffer.write(data)
             if written is None:
@@ -414,10 +416,8 @@ def _write_stdout(text: str) -> None:
             data = data[written:]
         buffer.flush()
     except OSError as exc:
-        # Such as a reader that went away. Point stdout's descriptor, if it has one, at the null
-        # device, so the interpreter's own flush at exit neither fails nor prints a second record.
         try:
-            fd = stdout.fileno()
+            fd = stream.fileno()
         except (AttributeError, OSError):  # None, or a stream with no descriptor
             fd = None
         if fd is not None:
@@ -454,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
             output = dispatch(args)
             text = render(output, _COMMANDS[args.command].columns, args.format)
             status = output.status
-        _write_stdout(text)
+        _write(sys.stdout, text)
         return status
     except (ValueError, OSError) as exc:
         # A usage error, or an unusable checkpoint or stdout; exit 1 would read as a counterexample.

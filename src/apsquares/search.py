@@ -44,7 +44,7 @@ file belongs to the run when it and the header line are prefixes of one
 another; whatever follows its last newline, a torn header included, is
 a torn line, cut once every other line has passed. Any other line, or a
 row outside [1, d_max], is a hard error that leaves the file untouched;
-so is a path that is not a regular file, refused before it is read.
+so is a path that is not a regular file, refused as it is opened.
 Rows are appended as they complete but flushed about once a second and
 on every exit, an exception included (the CLI turns SIGTERM into one);
 a SIGKILL loses at most about the last second of rows, which a resumed
@@ -216,13 +216,20 @@ def _record(solutions: list[tuple[int, int, int]], k: int, n: int, d: int, t: in
     solutions.append((n, d, t))
 
 
+def _open_regular(path: str, flags: int) -> int:
+    # The checkpoint's `open` opener. A device such as /dev/zero would be read without end,
+    # /dev/null refuses the cut, and a FIFO fails the seek to its end that "a+b" makes at once.
+    fd = os.open(path, flags, 0o666)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise CheckpointMismatch(f"checkpoint {path!r} is not a regular file")
+    return fd
+
+
 def _resume_rows(fh: BufferedRandom, fingerprint: str, d_max: int) -> set[int]:
     """Completed d rows in an open checkpoint file. Only once every line
     has passed is the torn final line cut and, if no line is left, the
     header written."""
-    # A device such as /dev/zero would be read without end, and /dev/null refuses the cut.
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        raise CheckpointMismatch(f"checkpoint {fh.name!r} is not a regular file")
     fh.seek(0)
     try:
         data = fh.read().decode("ascii")
@@ -289,7 +296,8 @@ def _scan_grid(
 
     solutions: list[tuple[int, int, int]] = []
     windows = 0
-    with open(checkpoint, "a+b") if checkpoint is not None else nullcontext() as ckpt:
+    opened = nullcontext() if checkpoint is None else open(checkpoint, "a+b", opener=_open_regular)
+    with opened as ckpt:
         done = set() if ckpt is None else _resume_rows(ckpt, fingerprint, d_max)
         flushed = time.monotonic()
         for fixed in range(1, lines + 1):

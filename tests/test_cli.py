@@ -115,6 +115,16 @@ def test_golden_outputs_byte_identical_across_runs(argv, expected):
     assert second.stdout == first.stdout
 
 
+@pytest.mark.parametrize("argv,expected", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_outputs_through_a_text_only_stdout(argv, expected, monkeypatch):
+    # A stdout with no byte layer, such as the io.StringIO that bench/run.py's traced runs
+    # redirect into, takes the report in one text write.
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(list(argv)) == 0
+    assert stdout.getvalue() == expected
+
+
 def test_search_json_payload():
     proc = run_cli("search", "--k", "11", "--max-n", "50", "--max-d", "1")
     data = json.loads(proc.stdout)
@@ -579,6 +589,40 @@ def test_short_write_then_broken_pipe_is_exit_2(monkeypatch, descriptor):
     assert stderr.getvalue() == '{"error":"cannot write output: [Errno 32] Broken pipe"}\n'
 
 
+class _TenBytesRaw(io.RawIOBase):
+    """A raw stream that takes at most 10 bytes of each write."""
+
+    def __init__(self):
+        self.taken = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.taken += data[:10]
+        return min(len(data), 10)
+
+
+def test_short_write_to_an_unbuffered_stderr_keeps_the_whole_record(monkeypatch):
+    # As under PYTHONUNBUFFERED=1, stderr's text layer writes through to a raw file; the rest
+    # of a short write must follow, as it does on stdout.
+    argv = ["verify", "--p", "13", "--max-n", "1", "--max-d", "1"]
+    expected = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", expected)
+    assert cli.main(argv) == 2
+    raw = _TenBytesRaw()
+    stderr = io.TextIOWrapper(raw, encoding="ascii", write_through=True)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    try:
+        assert cli.main(argv) == 2
+    finally:
+        monkeypatch.undo()
+        stderr.close()
+    record = expected.getvalue()
+    assert record.count("\n") == 1 and "error" in json.loads(record)
+    assert raw.taken.decode("ascii") == record
+
+
 _WOULD_BLOCK_RECORD = (
     f'{{"error":"cannot write output: [Errno {errno.EAGAIN}] write could not complete without '
     'blocking"}\n'
@@ -736,6 +780,7 @@ USAGE_ERRORS = [
         ["search", "--k", "3", "--max-n", "1", "--max-d", "1", "--sieve=1"],
         "argument --sieve: ignored explicit argument '1'",
     ),
+    (["classify", "-h=x"], "argument -h/--help: ignored explicit argument 'x'"),
 ]
 
 
@@ -959,11 +1004,21 @@ def test_cli_overlong_checkpoint_line_is_exit_2_malformed(tmp_path):
     assert "malformed" in json.loads(proc.stderr)["error"]
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
-def test_checkpoint_on_a_device_is_exit_2_naming_the_path(capsys):
+@pytest.mark.parametrize("kind", ["dev-null", "fifo"])
+def test_checkpoint_on_a_device_is_exit_2_naming_the_path(kind, tmp_path, capsys):
+    if kind == "dev-null":
+        if not os.path.exists("/dev/null"):
+            pytest.skip("no /dev/null")
+        path = "/dev/null"
+    else:
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no os.mkfifo")
+        path = str(tmp_path / "ckpt.fifo")
+        os.mkfifo(path)
     assert cli.main(["verify", "--p", "5", "--max-n", "3", "--max-d", "3",
-                     "--checkpoint", "/dev/null"]) == 2
-    assert capsys.readouterr() == ("", '{"error":"checkpoint \'/dev/null\' is not a regular file"}\n')
+                     "--checkpoint", path]) == 2
+    message = f"checkpoint {path!r} is not a regular file"
+    assert capsys.readouterr() == ("", '{"error":' + json.dumps(message) + "}\n")
 
 
 def test_oversized_error_records_are_capped(tmp_path):
