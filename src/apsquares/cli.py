@@ -5,11 +5,13 @@ search, each declared once in `_COMMANDS` with its help, flags, CSV
 columns and handler. Reports go to stdout, diagnostics to stderr. JSON
 output is canonical (sorted keys, no insignificant whitespace); integers
 beyond 2^53 - 1 are emitted as decimal strings so double-precision JSON
-consumers stay exact. Exit codes: 0 success, 1 when verify finds a
-counterexample, 2 for usage or domain errors, for a checkpoint file
-that cannot be opened, read or written, and for a stdout that cannot be
-written (such as a closed pipe), 3 when an internal check fails,
-130 when interrupted, 143 when terminated by SIGTERM.
+consumers stay exact. Exit codes: 0 success, 1 only when verify finds a
+counterexample, 2 for usage or domain errors, for a checkpoint file that
+cannot be opened, read or written, and for a stdout that cannot be written
+(such as a closed pipe), 3 for a failed internal check or any other
+unexpected error, which the record names, 130 when interrupted, 143 when
+terminated by SIGTERM. A Ctrl-C or SIGTERM during the error record's own
+write keeps the code already chosen; the record may be lost.
 
 `parse_args` reads argv straight from `_COMMANDS`: the command first, then
 its flags, each spelled in full (no abbreviations), as `--flag value` or
@@ -18,16 +20,16 @@ its flags, each spelled in full (no abbreviations), as `--flag value` or
 command, prints a short usage to stdout and exits 0. A usage error exits 2
 with CPython 3.11 argparse's message.
 
-`main(argv)` runs one command in-process: it parses, runs and writes
-under one SIGTERM trap and one lift of the int/str digit limit, restores
-both, and leaves the heap as it is. Parsing, the handlers and the write
-only raise; `main` alone writes the error record and returns the exit
-code, a usage error's too. `_write` is the one writer for both streams:
-stdout's report or help text and stderr's record. `run()`, behind both
-`python -m apsquares` and the `apsquares` script, returns `main()`'s
-status after a `gc.freeze()`, so the full collections CPython runs at
-teardown skip the objects the run left: about 8 ms of an 80 ms 1000²
-`verify` under CPython 3.11 on one CPU of a 2-CPU Xeon host.
+`main(argv)` runs one command in-process under one SIGTERM trap and one
+lift of the int/str digit limit, restores both, and leaves the heap as
+it is. Parsing, the handlers and the write only raise; `main`'s except
+clauses only pick the code and message, and one call in its `finally`,
+still under the trap, writes the record. `_write` is the one writer for
+both streams: stdout's report or help text and stderr's record. `run()`,
+behind both `python -m apsquares` and the `apsquares` script, returns
+`main()`'s status after a `gc.freeze()`, so the full collections CPython
+runs at teardown skip the objects the run left: about 8 ms of an 80 ms
+1000² `verify` under CPython 3.11 on one CPU of a 2-CPU Xeon host.
 """
 
 from __future__ import annotations
@@ -77,15 +79,16 @@ def _fitting(chars: Iterable[str], budget: int) -> int:
 
 def _print_error(message: str) -> None:
     # Every failure leaves a single machine-parsable record on stderr; a long message keeps its
-    # ends, each at most 500 bytes once escaped.
-    if _json_width(message) > 1000:
-        head, tail = _fitting(message, 500), _fitting(reversed(message), 500)
-        cut = len(message) - head - tail
-        message = f"{message[:head]}...[{cut} characters cut]...{message[len(message) - tail:]}"
+    # ends, each at most 500 bytes once escaped. With no usable stderr (None, closed or full),
+    # or a Ctrl-C or SIGTERM meanwhile, the record is lost and the code already chosen stays.
     try:
+        if _json_width(message) > 1000:
+            head, tail = _fitting(message, 500), _fitting(reversed(message), 500)
+            cut = len(message) - head - tail
+            message = f"{message[:head]}...[{cut} characters cut]...{message[len(message) - tail:]}"
         _write(sys.stderr, render_json({"error": message}))
-    except (OSError, ValueError):
-        pass  # no usable stderr (None, closed or full): the record is lost, the code stays
+    except (OSError, ValueError, KeyboardInterrupt, _Terminated):
+        pass
 
 
 def _canonical(value: object) -> object:
@@ -439,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     # Exact sums outgrow CPython's 4300-digit int <-> str limit (3.10.7 on); lift it for the run.
     digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     handler = signal.getsignal(signal.SIGTERM)
-    trapped = True
+    trapped, message = True, None
     try:
         try:
             signal.signal(signal.SIGTERM, _raise_terminated)
@@ -455,27 +458,23 @@ def main(argv: list[str] | None = None) -> int:
             text = render(output, _COMMANDS[args.command].columns, args.format)
             status = output.status
         _write(sys.stdout, text)
-        return status
-    except (ValueError, OSError) as exc:
-        # A usage error, or an unusable checkpoint or stdout; exit 1 would read as a counterexample.
-        _print_error(str(exc))
-        return 2
-    except RuntimeError as exc:
-        # A failed internal check is a bug, neither bad input nor a counterexample.
-        _print_error(str(exc))
-        return 3
-    except KeyboardInterrupt:
-        # Completed rows are already flushed to any checkpoint.
-        _print_error("interrupted")
-        return 130
+    # Each failure only picks its code and message: exit 1 is a counterexample's alone.
+    except (ValueError, OSError) as exc:  # a usage error, or an unusable checkpoint or stdout
+        status, message = 2, str(exc)
+    except Exception as exc:  # a failed internal check or any other bug
+        status, message = 3, str(exc) or type(exc).__name__
+    except KeyboardInterrupt:  # completed rows are already flushed to any checkpoint
+        status, message = 130, "interrupted"
     except _Terminated:
-        _print_error("terminated")
-        return 143
+        status, message = 143, "terminated"
     finally:
+        if message is not None:  # written while the trap still holds
+            _print_error(message)
         if trapped:
             signal.signal(signal.SIGTERM, handler)
         if digits is not None:
             sys.set_int_max_str_digits(digits)
+    return status
 
 
 def run() -> int:

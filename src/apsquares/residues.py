@@ -18,7 +18,7 @@ DETERMINISTIC_LIMIT every verdict is exact; at or beyond it the 14 bases
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt
+from math import inf, isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -39,7 +39,9 @@ _BPSW_LIMIT = 2**64
 # the (2,) band together with `_extra_strong_lucas`. The one-base set is
 # the published minimal one for its band (miller-rabin.appspot.com),
 # verified under that skip rule; the first t prime bases end at psi_t,
-# the least strong pseudoprime to them (OEIS A014233).
+# the least strong pseudoprime to them (OEIS A014233). The last row has
+# no bound: from DETERMINISTIC_LIMIT on, the 14 bases 2..43 give a
+# probable-prime verdict, not a proof.
 _WITNESS_TIERS = (
     (341_531, (9345883071009581737,)),
     (1_373_653, (2, 3)),
@@ -48,8 +50,8 @@ _WITNESS_TIERS = (
     (_BPSW_LIMIT, (2,)),
     (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
     (DETERMINISTIC_LIMIT, _SMALL_PRIMES),
+    (inf, (*_SMALL_PRIMES, 43)),
 )
-_PROBABLE_WITNESSES = (*_SMALL_PRIMES, 43)
 
 
 class PrimeProfile(namedtuple("PrimeProfile", "p residue_mod_12 legendre3")):
@@ -67,8 +69,8 @@ def is_prime(n: int) -> bool:
     1 to 4 bases below 3,215,031,751; base 2 and then the extra strong
     Lucas test from there to 2^64; the first 12 or 13 prime bases from
     2^64 on. Each base is reduced mod n and skipped when that leaves 0 or
-    1. Inputs at or beyond the limit get a strong probable-prime verdict
-    from the 14 bases 2..43.
+    1. Inputs at or beyond the limit fall in the table's last, unbounded
+    row, whose 14 bases 2..43 give a strong probable-prime verdict.
     """
     if n < 2:
         return False
@@ -80,8 +82,6 @@ def is_prime(n: int) -> bool:
     for bound, witnesses in _WITNESS_TIERS:
         if n < bound:
             break
-    else:
-        witnesses = _PROBABLE_WITNESSES
     d = n - 1
     r = 0
     while d % 2 == 0:

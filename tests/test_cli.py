@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -272,6 +273,25 @@ def test_internal_check_failure_is_exit_3_not_counterexample(monkeypatch, capsys
     assert len(lines) == 1 and "re-verification" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize(
+    "exc, record",
+    [(ZeroDivisionError("division by zero"), "division by zero"), (MemoryError(), "MemoryError")],
+    ids=["message", "empty-message"],
+)
+def test_unexpected_error_is_exit_3_not_counterexample(monkeypatch, capsys, exc, record):
+    # A bug in a handler, or memory running out: neither bad input nor a counterexample. An
+    # exception with no message is named by its type.
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "dispatch", broken)
+    assert cli.main(["sum", "--k", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {"error": record}
+
+
 def test_keyboard_interrupt_is_exit_130_with_error_record(monkeypatch, capsys):
     def interrupted(args):
         raise KeyboardInterrupt
@@ -342,6 +362,83 @@ def test_sigterm_while_the_report_is_written_is_exit_143(unbuffered):
     assert proc.returncode == 143
     assert err == b'{"error":"terminated"}\n'
     assert first and len(first + out) < 167989
+
+
+# Runs a refused verify with a spy on `cli._write` that writes one byte to stdout just before
+# the error record goes to stderr.
+_REFUSAL_WITH_A_SIGNAL_BYTE = """
+import os, sys
+import apsquares.cli as cli
+write = cli._write
+def spy(stream, text):
+    if stream is sys.stderr:
+        os.write(1, b".")
+    write(stream, text)
+cli._write = spy
+sys.argv[1:] = ["verify", "--p", "13", "--max-n", "1", "--max-d", "1"]
+sys.exit(cli.run())
+"""
+_REFUSAL_RECORD = (
+    b'{"error":"3 is a quadratic residue mod 13; the valuation law is not guaranteed there '
+    b'and square windows may exist"}\n'
+)
+
+
+def _read_before(fd, deadline):
+    # The next bytes from `fd`, b"" at its end; the test fails if none arrive by `deadline`.
+    ready = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]
+    assert ready, "the child did not finish"
+    return os.read(fd, 65536)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_sigterm_while_the_error_record_is_written_keeps_the_exit_code(unbuffered):
+    # stderr is a full pipe, so the record's write blocks until SIGTERM arrives; the refusal's
+    # exit 2 stands. A buffered stderr keeps the record and flushes it at exit once the pipe is
+    # drained; an unbuffered one loses it whole, since a write this short is atomic on a pipe.
+    fcntl = pytest.importorskip("fcntl")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    try:
+        flags = fcntl.fcntl(write_end, fcntl.F_GETFL)
+        fcntl.fcntl(write_end, fcntl.F_SETFL, flags | os.O_NONBLOCK)
+        filler = 0
+        for size in (65536, 1):  # the last, partly filled page too
+            with contextlib.suppress(BlockingIOError):
+                while True:
+                    filler += os.write(write_end, b"x" * size)
+        fcntl.fcntl(write_end, fcntl.F_SETFL, flags)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _REFUSAL_WITH_A_SIGNAL_BYTE],
+            stdout=subprocess.PIPE,
+            stderr=write_end,
+            env=env,
+        )
+        os.close(write_end)
+        write_end = None
+        try:
+            assert os.read(proc.stdout.fileno(), 1) == b"."
+            time.sleep(0.2)  # from the byte into the blocked write
+            proc.send_signal(signal.SIGTERM)
+            err = b""
+            deadline = time.monotonic() + CLI_TIMEOUT_S
+            while chunk := _read_before(read_end, deadline):
+                err += chunk
+            proc.wait(timeout=CLI_TIMEOUT_S)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+    assert proc.returncode == 2
+    assert err[:filler] == b"x" * filler
+    record = err[filler:]
+    assert record == _REFUSAL_RECORD or (unbuffered and record == b"")
 
 
 def test_sigterm_is_exit_143_and_keeps_completed_rows(tmp_path):
@@ -926,17 +1023,28 @@ def test_parse_args_agrees_with_argparse(argv):
         None,
         _RaisingWriter(OSError(errno.ENOSPC, "No space left on device")),
         _RaisingWriter(ValueError("I/O operation on closed file.")),
+        _RaisingWriter(KeyboardInterrupt()),
+        _RaisingWriter(cli._Terminated()),
     ],
-    ids=["none", "full", "closed"],
+    ids=["none", "full", "closed", "interrupted", "terminated"],
 )
 def test_unusable_stderr_keeps_the_exit_code(monkeypatch, stderr):
-    # The record is lost, but a refusal must not read as exit 1, a counterexample.
+    # The record is lost, but a refusal must not read as exit 1, a counterexample, nor may a
+    # Ctrl-C or SIGTERM during its write escape; the trap and the digit limit are restored.
+    handler = signal.getsignal(signal.SIGTERM)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     stdout = io.StringIO()
     monkeypatch.setattr(sys, "stdout", stdout)
     monkeypatch.setattr(sys, "stderr", stderr)
-    assert cli.main(["verify", "--p", "13", "--max-n", "1", "--max-d", "1"]) == 2
-    assert cli.main(["frobnicate"]) == 2
+    try:
+        codes = [cli.main(["verify", "--p", "13", "--max-n", "1", "--max-d", "1"])]
+        codes.append(cli.main(["frobnicate"]))
+    except BaseException as exc:
+        pytest.fail(f"{type(exc).__name__} escaped cli.main")
+    assert codes == [2, 2]
     assert stdout.getvalue() == ""
+    assert signal.getsignal(signal.SIGTERM) is handler
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digits
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
