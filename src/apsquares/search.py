@@ -31,8 +31,9 @@ The sieve applies to prime k >= 5. Its one value, `residue_sieve(k)`,
 holds the admissible ratios d/n mod k; a cell is decided when k | d or
 its ratio is admissible. A line's kept residue classes, of n along a
 row and of d along a column, depend only on its fixed coordinate mod k;
-the driver derives them from the ratios once per residue, and that one
-set both counts the line's cells and filters the kernel.
+the driver derives them from the ratios once per residue, before the
+first line, and that one set both counts the line's cells and filters
+the kernel.
 Every other cell has odd k-adic valuation, so the sieve is lossless:
 the solution lists are identical, and only `windows_checked` differs.
 
@@ -53,7 +54,6 @@ run scans again.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import stat
@@ -115,7 +115,7 @@ def _bit_tile(period: int, m: int, width: int) -> int:
     return period * (((1 << m * reps) - 1) // ((1 << m) - 1))
 
 
-class _RowTables(namedtuple("_RowTables", "form width every_cell every_kth_cell squares")):
+class _RowTables(namedtuple("_RowTables", "form width every_kth_cell squares")):
     """Per-length tables of the line kernel, built once per run.
 
     A line is a row (d fixed, x = n) or a column (n fixed, x = d). A
@@ -123,10 +123,9 @@ class _RowTables(namedtuple("_RowTables", "form width every_cell every_kth_cell 
     x = lo + i of the block starting at lo; ANDing tiles intersects the
     cell sets they select. `squares` holds, for each modulus m, one tile
     per fixed coordinate mod m, repeating with period m from x = 1 and
-    long enough to be shifted by up to m - 1 cells. `every_cell` is the
-    `width` low bits, and `every_kth_cell` sets bits 0, k, 2k, ... below
-    `width`. `form` is `window_form(k)` for rows and its reverse for
-    columns.
+    long enough to be shifted by up to m - 1 cells. `every_kth_cell`
+    sets bits 0, k, 2k, ... below `width`. `form` is `window_form(k)`
+    for rows and its reverse for columns.
     """
 
     __slots__ = ()
@@ -152,7 +151,6 @@ def _row_tables(k: int, length: int, form: tuple[int, int, int] | None = None) -
     return _RowTables(
         form=form,
         width=width,
-        every_cell=(1 << width) - 1,
         every_kth_cell=_bit_tile(1, min(k, width), width),
         squares=tuple(squares),
     )
@@ -184,7 +182,8 @@ def _scan_row(
     hits = []
     isqrt = math.isqrt
     for block in range(lo, hi + 1, width):
-        selector = tables.every_cell
+        end = hi + 1 - block
+        selector = (1 << min(end, width)) - 1
         for m, tiles in tables.squares:
             selector &= tiles[fixed % m] >> ((block - 1) % m)
         if selector and classes is not None:
@@ -194,9 +193,6 @@ def _scan_row(
                 if shift < width:
                     admissible |= tables.every_kth_cell << shift
             selector &= admissible
-        end = hi + 1 - block
-        if end < width:
-            selector &= (1 << end) - 1
         while selector:
             low = selector & -selector
             x = block + low.bit_length() - 1
@@ -282,17 +278,18 @@ def _scan_grid(
     tables = _row_tables(k, length, window_form(k)[::-1] if columns else None)
     # A row keeps n = d * r^-1 (mod k) for each ratio r, and all of a row
     # with k | d. A column keeps what its rows keep: d = n * r, and k | d.
-    multipliers = None
+    # `shares` maps the fixed coordinate mod k of every sieved line to its
+    # kept classes and the cells x = c (mod k) they hold; rows with k | d
+    # are left out. It covers every residue the loop visits and needs no
+    # cap: a sieved run has no checkpoint, so it scans the longer axis,
+    # lines <= length, and its at most min(k, lines + 1) entries never
+    # outnumber the cells of one line.
+    shares = {}
     if ratios is not None:
         multipliers = (*ratios, 0) if columns else tuple(pow(r, -1, k) for r in ratios)
-
-    # At most k residues occur; the cap bounds the cache for a huge k.
-    @functools.lru_cache(maxsize=_BLOCK)
-    def sieved_line(residue: int) -> tuple[frozenset[int], int]:
-        # The kept classes of every sieved line with fixed = residue (mod k),
-        # and the cells x = c (mod k) they hold.
-        classes = frozenset(residue * m % k for m in multipliers)
-        return classes, sum(len(range(c or k, length + 1, k)) for c in classes)
+        for residue in range(0 if columns else 1, min(k, lines + 1)):
+            classes = frozenset(residue * m % k for m in multipliers)
+            shares[residue] = classes, sum(len(range(c or k, length + 1, k)) for c in classes)
 
     solutions: list[tuple[int, int, int]] = []
     windows = 0
@@ -301,8 +298,7 @@ def _scan_grid(
         done = set() if ckpt is None else _resume_rows(ckpt, fingerprint, d_max)
         flushed = time.monotonic()
         for fixed in range(1, lines + 1):
-            sieved = multipliers is not None and (columns or fixed % k)
-            classes, kept = sieved_line(fixed % k) if sieved else (None, length)
+            classes, kept = shares.get(fixed % k, (None, length))
             windows += kept
             if fixed in done:
                 continue

@@ -6,7 +6,12 @@ grids 150 x 150 (rows), 5 x 3000 (columns), 3000 x 5 (rows) and
 and without the sieve must list exactly the cells whose `window_form`
 value is a perfect square by `math.isqrt`. For 3 and every prime
 p = 5, 7 (mod 12) up to 200, `verify_no_solutions` must find nothing
-and decide every cell. Takes well under a minute on one CPU. The file
+and decide every cell. For every prime 5 <= k <= 200, the sieved
+`windows_checked` must equal a count over residue pairs (a, b) mod k:
+the n = a and d = b classes' sizes multiplied, summed over the pairs
+with b = 0 or a * r = b (mod k) for a ratio r of `residue_sieve(k)`.
+The grids hold rows and columns, with fewer and more lines than k.
+Takes well under a minute on one CPU. The file
 name keeps pytest from collecting it; run it directly from the
 repository root:
 
@@ -19,12 +24,14 @@ import math
 import sys
 
 from apsquares.apsum import window_form
+from apsquares.obstruction import residue_sieve
 from apsquares.search import find_solutions, verify_no_solutions
 
 GRIDS = ((150, 150), (5, 3000), (3000, 5), (2, 9000))
 PRIMES = [p for p in range(2, 201) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 LENGTHS = sorted(set(range(2, 65)) | set(PRIMES))
 VERIFIED = [3] + [p for p in PRIMES if p % 12 in (5, 7)]
+SIEVED = [p for p in PRIMES if p >= 5]
 
 
 def oracle(k: int, n_max: int, d_max: int) -> tuple[tuple[int, int, int], ...]:
@@ -39,6 +46,19 @@ def oracle(k: int, n_max: int, d_max: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(found)
 
 
+def sieved_count(k: int, n_max: int, d_max: int) -> int:
+    # Cells the sieve decides, counted a residue class pair at a time.
+    ratios = residue_sieve(k)
+    cn = [len(range(a or k, n_max + 1, k)) for a in range(k)]
+    cd = [len(range(b or k, d_max + 1, k)) for b in range(k)]
+    return sum(
+        cn[a] * cd[b]
+        for a in range(k)
+        for b in range(k)
+        if b == 0 or any((a * r - b) % k == 0 for r in ratios)
+    )
+
+
 def main() -> int:
     wrong = []
     for n_max, d_max in GRIDS:
@@ -48,6 +68,10 @@ def main() -> int:
                 report = find_solutions(k, n_max, d_max, use_sieve)
                 if report.solutions != expected:
                     wrong.append(f"find_solutions({k}, {n_max}, {d_max}, {use_sieve})")
+                elif use_sieve and k in SIEVED and report.windows_checked != sieved_count(
+                    k, n_max, d_max
+                ):
+                    wrong.append(f"find_solutions({k}, {n_max}, {d_max}, True).windows_checked")
         for p in VERIFIED:
             report = verify_no_solutions(p, n_max, d_max)
             if report.solutions or report.windows_checked != n_max * d_max:
@@ -55,7 +79,10 @@ def main() -> int:
     if wrong:
         print(f"{len(wrong)} scans disagree with the oracle, first {wrong[:10]}")
         return 1
-    print(f"{len(LENGTHS)} searched and {len(VERIFIED)} verified lengths agree with the oracle")
+    print(
+        f"{len(LENGTHS)} searched and {len(VERIFIED)} verified lengths agree with the oracle,"
+        f" and {len(SIEVED)} sieved lengths with the cell count"
+    )
     return 0
 
 

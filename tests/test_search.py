@@ -161,7 +161,10 @@ def test_sieve_on_non_residue_prime_scans_only_rows_divisible_by_k():
     assert find_solutions(5, 100, 100, use_sieve=True).windows_checked == 20 * 100
 
 
-@pytest.mark.parametrize("k,n_max,d_max", [(11, 30, 7), (11, 30, 25), (13, 20, 40), (23, 100, 47), (5, 9, 12)])
+@pytest.mark.parametrize(
+    "k,n_max,d_max",
+    [(11, 30, 7), (11, 30, 25), (13, 20, 40), (23, 100, 47), (5, 9, 12), (11, 40, 11), (13, 13, 40)],
+)
 def test_sieved_windows_count_admissible_cells(k, n_max, d_max):
     # Every cell of a row with k | d, and elsewhere the cells whose ratio
     # d/n mod k is admissible, i.e. d = n * r (mod k).
@@ -561,7 +564,6 @@ def test_row_tables_match_residue_enumeration(k):
     assert tables.width == n_max
     _assert_tiles_match(tables, k, n_max, lambda r, x: (x, r))
     for i in range(n_max):
-        assert tables.every_cell >> i & 1 == 1
         assert tables.every_kth_cell >> i & 1 == (i % k == 0)
 
 
