@@ -5,13 +5,16 @@ search, each declared once in `_COMMANDS` with its help, flags, CSV
 columns and handler. Reports go to stdout, diagnostics to stderr. JSON
 output is canonical (sorted keys, no insignificant whitespace); integers
 beyond 2^53 - 1 are emitted as decimal strings so double-precision JSON
-consumers stay exact. Exit codes: 0 success, 1 only when verify finds a
-counterexample, 2 for usage or domain errors, for a checkpoint file that
-cannot be opened, read or written, and for a stdout that cannot be written
-(such as a closed pipe), 3 for a failed internal check or any other
-unexpected error, which the record names, 130 when interrupted, 143 when
-terminated by SIGTERM. A Ctrl-C or SIGTERM during the error record's own
-write keeps the code already chosen; the record may be lost.
+consumers stay exact. `render_json` writes it by hand, byte for byte as
+`json.dumps(..., sort_keys=True, separators=(",", ":"))` would, so a
+child never imports `json`, nor the `re` and `enum` that `json` imports.
+Exit codes: 0 success, 1 only when verify finds a counterexample, 2 for
+usage or domain errors, for a checkpoint file that cannot be opened,
+read or written, and for a stdout that cannot be written (such as a
+closed pipe), 3 for a failed internal check or any other unexpected
+error, which the record names, 130 when interrupted, 143 when terminated
+by SIGTERM. A Ctrl-C or SIGTERM during the error record's own write
+keeps the code already chosen; the record may be lost.
 
 `parse_args` reads argv straight from `_COMMANDS`: the command first, then
 its flags, each spelled in full (no abbreviations), as `--flag value` or
@@ -22,24 +25,24 @@ with CPython 3.11 argparse's message.
 
 `main(argv)` runs one command in-process under one SIGTERM trap and one
 lift of the int/str digit limit, restores both, and leaves the heap as
-it is. Parsing, the handlers and the write only raise; `main`'s except
-clauses only pick the code and message, and one call in its `finally`,
-still under the trap, writes the record. `_write` is the one writer for
-both streams: stdout's report or help text and stderr's record. `run()`,
-behind both `python -m apsquares` and the `apsquares` script, returns
-`main()`'s status after a `gc.freeze()`, so the full collections CPython
-runs at teardown skip the objects the run left: about 8 ms of an 80 ms
-1000² `verify` under CPython 3.11 on one CPU of a 2-CPU Xeon host.
+it is. The trap uses `_signal`, the built-in module that `signal` wraps
+in enums, which CPython 3.10-3.13 all provide. Parsing, the handlers and
+the write only raise; `main`'s except clauses only pick the code and
+message, and one call in its `finally`, still under the trap, writes the
+record. `_write` is the one writer for both streams: stdout's report or
+help text and stderr's record. `run()`, behind both `python -m
+apsquares` and the `apsquares` script, returns `main()`'s status after a
+`gc.freeze()`, so the full collections CPython runs at teardown skip the
+objects the run left: about 6 ms of a 60 ms 1000² `verify` under
+CPython 3.11 on one CPU of a 2-CPU Xeon host.
 """
 
 from __future__ import annotations
 
+import _signal
 import errno
 import gc
-import json
 import os
-import re
-import signal
 import sys
 from collections import namedtuple
 from collections.abc import Iterable
@@ -60,10 +63,35 @@ _JSON_SAFE_MAX = 2**53 - 1
 _Output = namedtuple("_Output", "payload text rows status", defaults=(None, 0))
 
 
+# The characters `json.dumps` escapes by name; every other one outside printable ASCII is
+# `\u` and four lowercase hex digits, an astral one as its UTF-16 surrogate pair.
+_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"
+}
+
+
+def _escape(char: str) -> str:
+    code = ord(char)
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    if 0x20 <= code < 0x7F:
+        return char
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def _json_string(text: str) -> str:
+    # As `json.dumps(text)` writes it, `ensure_ascii` on.
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
 def _json_width(text: str) -> int:
-    # Bytes `text` takes inside a JSON string: `render_json` escapes quotes, backslashes,
-    # control and non-ASCII characters, an astral one to 12 bytes.
-    return len(json.dumps(text)) - 2
+    # Bytes `text` takes inside a JSON string: an escaped character takes 2 to 12.
+    return len(_json_string(text)) - 2
 
 
 def _fitting(chars: Iterable[str], budget: int) -> int:
@@ -91,19 +119,31 @@ def _print_error(message: str) -> None:
         pass
 
 
-def _canonical(value: object) -> object:
-    # A bool is an int of magnitude at most 1, so it stays a JSON boolean.
+def _json(value: object) -> str:
+    # A payload holds dicts with str keys, lists, tuples, str, int, bool and None. A bool is an
+    # int, so it is told apart first; an int beyond 2^53 - 1 becomes a decimal string.
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
-        return str(value) if abs(value) > _JSON_SAFE_MAX else value
+        return str(value) if -_JSON_SAFE_MAX <= value <= _JSON_SAFE_MAX else f'"{value}"'
+    if isinstance(value, str):
+        return _json_string(value)
     if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
+        return "[" + ",".join(map(_json, value)) + "]"
     if isinstance(value, dict):
-        return {key: _canonical(item) for key, item in value.items()}
-    return value
+        items = sorted(value.items())
+        return "{" + ",".join(f"{_json_string(key)}:{_json(item)}" for key, item in items) + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_json(payload: dict[str, object]) -> str:
-    return json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":")) + "\n"
+    """`payload` as `json.dumps(..., sort_keys=True, separators=(",", ":"))` writes it, with
+    every int beyond 2^53 - 1 in magnitude as a decimal string, and a newline."""
+    return _json(payload) + "\n"
 
 
 def render_csv(header: list[str], rows: list[list[object]]) -> str:
@@ -281,8 +321,16 @@ _COMMANDS = {
 # Every command also takes `--format`, whose kind is its tuple of choices, and `-h`/`--help`.
 _FORMAT_FLAG = {"--format": (f"output format (default: json, or ${_FORMAT_ENV})", _FORMATS)}
 _HELP_FLAGS = ("-h", "--help")
-# A dash word in this form is a negative number, so it can be a flag's value.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _negative_number(token: str) -> bool:
+    # argparse's `^-\d+$|^-\d*\.\d+$` on a dash word: `\d` is any Unicode decimal digit, and `$`
+    # also matches before one final newline. A negative number can be a flag's value.
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
 
 
 def _looks_like_flag(token: str, known: set[str]) -> bool:
@@ -292,7 +340,7 @@ def _looks_like_flag(token: str, known: set[str]) -> bool:
         return False
     if token.partition("=")[0] in known:
         return True
-    return not (_NEGATIVE_NUMBER.match(token) or " " in token)
+    return not (_negative_number(token) or " " in token)
 
 
 def _spelling(flag: str, kind: object) -> str:
@@ -441,11 +489,11 @@ def _raise_terminated(signum: int, frame: object) -> None:
 def main(argv: list[str] | None = None) -> int:
     # Exact sums outgrow CPython's 4300-digit int <-> str limit (3.10.7 on); lift it for the run.
     digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    handler = signal.getsignal(signal.SIGTERM)
+    handler = _signal.getsignal(_signal.SIGTERM)
     trapped, message = True, None
     try:
         try:
-            signal.signal(signal.SIGTERM, _raise_terminated)
+            _signal.signal(_signal.SIGTERM, _raise_terminated)
         except ValueError:  # only the main thread may install signal handlers
             trapped = False
         if digits is not None:
@@ -471,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         if message is not None:  # written while the trap still holds
             _print_error(message)
         if trapped:
-            signal.signal(signal.SIGTERM, handler)
+            _signal.signal(_signal.SIGTERM, handler)
         if digits is not None:
             sys.set_int_max_str_digits(digits)
     return status

@@ -16,8 +16,9 @@ square is a square modulo every m, and S(n, d, k), the quadratic form
 `window_form(k)` in (n, d), depends mod m only on n mod m and d mod m;
 a column reads the form reversed, as a quadratic in d. For each modulus
 m in (64, 9, 5, 7, 11, 13, 17, 19, 23) that is coprime to k, a table
-built once per run holds, per fixed coordinate mod m, an int with one
-bit per cell marking the cells whose S is a square mod m. The kernel
+built once per run holds, per fixed coordinate mod m that the run's
+lines visit, an int with one bit per cell marking the cells whose S is
+a square mod m. The kernel
 ANDs these tiles into a selector and walks its set bits lowest first, so
 it visits only the cells that survive (about 0.2-1%); they alone have S
 evaluated and an exact `math.isqrt` taken. A modulus sharing a factor
@@ -107,12 +108,12 @@ _ROW_LINE = "done d={}\n"
 _FLUSH_S = 1.0
 
 
-def _bit_tile(period: int, m: int, width: int) -> int:
-    # The m-bit `period` repeated to at least `width` bits: bit i is bit
-    # i % m of `period`. Multiplying by the repunit 1 + 2^m + 2^(2m) + ...
-    # lays the copies side by side, as no two of them overlap.
+def _repunit(m: int, width: int) -> int:
+    # 1 + 2^m + 2^(2m) + ..., at least `width` bits long. Multiplying an
+    # m-bit period by it repeats the period: bit i of the product is bit
+    # i % m of the period, as no two copies overlap.
     reps = -(-width // m)
-    return period * (((1 << m * reps) - 1) // ((1 << m) - 1))
+    return ((1 << m * reps) - 1) // ((1 << m) - 1)
 
 
 class _RowTables(namedtuple("_RowTables", "form width every_kth_cell squares")):
@@ -122,36 +123,47 @@ class _RowTables(namedtuple("_RowTables", "form width every_kth_cell squares")):
     tile is an int holding one bit per cell, bit i for the cell
     x = lo + i of the block starting at lo; ANDing tiles intersects the
     cell sets they select. `squares` holds, for each modulus m, one tile
-    per fixed coordinate mod m, repeating with period m from x = 1 and
-    long enough to be shifted by up to m - 1 cells. `every_kth_cell`
-    sets bits 0, k, 2k, ... below `width`. `form` is `window_form(k)`
-    for rows and its reverse for columns.
+    per fixed coordinate mod m that the run's lines visit, repeating
+    with period m from x = 1 and long enough to be shifted by up to
+    m - 1 cells. `every_kth_cell` sets bits 0, k, 2k, ... below `width`.
+    `form` is `window_form(k)` for rows and its reverse for columns.
     """
 
     __slots__ = ()
 
 
-def _row_tables(k: int, length: int, form: tuple[int, int, int] | None = None) -> _RowTables:
-    """Tables for lines of `length` cells; `form` defaults to the rows' `window_form(k)`."""
+def _row_tables(
+    k: int, length: int, form: tuple[int, int, int] | None = None, lines: int | None = None
+) -> _RowTables:
+    """Tables for lines of `length` cells; `form` defaults to the rows'
+    `window_form(k)`. A run of `lines` lines fixes the coordinates
+    1..lines, so it needs only the tiles of the residues below
+    min(m, lines + 1); without `lines` every residue has its tile."""
     width = min(length, _BLOCK)
     a, b, c = form = form or window_form(k)
     squares = []
     for m in _MODULI:
         if math.gcd(m, k) > 1:
             continue
-        residues = {x * x % m for x in range(m)}
+        is_square = ["0"] * m
+        for x in range(m):
+            is_square[x * x % m] = "1"
+        # The period's bits as a binary numeral, its highest bit, the cell x = m, first.
+        quadratic = [a * x * x % m for x in range(m, 0, -1)]
+        linear = [b * x % m for x in range(m, 0, -1)]
+        repunit = _repunit(m, width + m - 1)
         tiles = []
-        for r in range(m):
-            # Bit x - 1 of the period is the cell x, for x = 1..m.
-            period = sum(
-                1 << (x - 1) for x in range(1, m + 1) if (a * x * x + b * r * x + c * r * r) % m in residues
+        for r in range(m if lines is None else min(m, lines + 1)):
+            constant = c * r * r
+            period = "".join(
+                [is_square[(ax2 + bx * r + constant) % m] for ax2, bx in zip(quadratic, linear)]
             )
-            tiles.append(_bit_tile(period, m, width + m - 1))
+            tiles.append(int(period, 2) * repunit)
         squares.append((m, tuple(tiles)))
     return _RowTables(
         form=form,
         width=width,
-        every_kth_cell=_bit_tile(1, min(k, width), width),
+        every_kth_cell=_repunit(min(k, width), width),
         squares=tuple(squares),
     )
 
@@ -275,7 +287,7 @@ def _scan_grid(
     fingerprint = f"k={k} n_max={n_max} d_max={d_max} sieve={int(ratios is not None)}"
     columns = checkpoint is None and n_max < d_max
     lines, length = (n_max, d_max) if columns else (d_max, n_max)
-    tables = _row_tables(k, length, window_form(k)[::-1] if columns else None)
+    tables = _row_tables(k, length, window_form(k)[::-1] if columns else None, lines)
     # A row keeps n = d * r^-1 (mod k) for each ratio r, and all of a row
     # with k | d. A column keeps what its rows keep: d = n * r, and k | d.
     # `shares` maps the fixed coordinate mod k of every sieved line to its

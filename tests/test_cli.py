@@ -173,6 +173,54 @@ def test_big_integers_render_as_decimal_strings():
     assert data["d"] == 1  # small values stay plain JSON numbers
 
 
+_JSON_SAFE_MAX = 2**53 - 1
+# Quotes, backslashes, every control character, DEL, printable ASCII, non-ASCII BMP and astral
+# characters, and lone surrogates, which argv holds for bytes that are not UTF-8.
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x7f", *map(chr, range(0x20))]),
+        st.characters(max_codepoint=0x7E),
+        st.characters(min_codepoint=0x80),
+        st.characters(categories=["Cs"]),
+    ),
+    max_size=12,
+)
+# Any int, and the ints on both sides of +-(2^53 - 1).
+_JSON_INTS = st.one_of(
+    st.integers(),
+    st.builds(lambda offset, sign: sign * (_JSON_SAFE_MAX + offset), st.integers(-2, 2),
+              st.sampled_from([1, -1])),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _JSON_INTS, _JSON_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+def _json_oracle(value):
+    # What the renderer promises: every int beyond 2^53 - 1 in magnitude as a decimal string.
+    if isinstance(value, bool) or not isinstance(value, (int, list, tuple, dict)):
+        return value
+    if isinstance(value, int):
+        return str(value) if abs(value) > _JSON_SAFE_MAX else value
+    if isinstance(value, dict):
+        return {key: _json_oracle(item) for key, item in value.items()}
+    return [_json_oracle(item) for item in value]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5), _JSON_TEXT)
+def test_render_json_writes_what_json_dumps_writes(payload, text):
+    expected = json.dumps(_json_oracle(payload), sort_keys=True, separators=(",", ":")) + "\n"
+    assert cli.render_json(payload) == expected
+    assert cli._json_width(text) == len(json.dumps(text)) - 2
+
+
 def test_sqrtmod_non_residue_reports_null_roots():
     data = json.loads(run_cli("sqrtmod", "--a", "3", "--p", "5").stdout)
     assert data["roots"] is None
@@ -837,6 +885,19 @@ def test_cli_imports_no_argument_parsing_or_threading_modules():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_imports_neither_json_nor_re_nor_signal():
+    # Without `site`, as on a clean interpreter: nothing else has loaded them.
+    probe = (
+        "import sys, apsquares.cli; "
+        "print(sorted({'json', 're', 'enum', 'signal'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=CLI_TIMEOUT_S
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_help_lists_the_commands_and_a_commands_flags():
     top = run_cli("--help")
     assert top.returncode == 0 and top.stderr == ""
@@ -995,6 +1056,8 @@ def _argvs(draw):
 )
 @settings(max_examples=400, deadline=None)
 @example(["legendre", "--a", "-3", "--p", "5"])
+@example(["legendre", "--a", "-\u0663", "--p", "5"])  # an Arabic-Indic 3, which `\d` matches
+@example(["legendre", "--a", "-3\n", "--p", "5"])  # `$` matches before a final newline
 @example(["check", "--n", "--d= 1", "--d", "1", "--k", "3"])  # a spaced value that is a flag
 @given(_argvs().filter(lambda argv: not any(map(_help_or_abbreviation, argv))))
 def test_parse_args_agrees_with_argparse(argv):

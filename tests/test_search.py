@@ -567,6 +567,42 @@ def test_row_tables_match_residue_enumeration(k):
         assert tables.every_kth_cell >> i & 1 == (i % k == 0)
 
 
+@pytest.mark.parametrize("lines", [1, 5, 22, 70])
+@pytest.mark.parametrize("k", [5, 11, 89])
+def test_tables_for_a_runs_lines_hold_the_full_tables_visited_tiles(k, lines):
+    # A run's lines fix the coordinates 1..lines, so they visit only the
+    # residues below min(m, lines + 1); those tiles are the full build's.
+    for form in (None, window_form(k)[::-1]):
+        full = search._row_tables(k, 40, form)
+        visited = search._row_tables(k, 40, form, lines)
+        assert visited._replace(squares=None) == full._replace(squares=None)
+        assert [m for m, _ in visited.squares] == [m for m, _ in full.squares]
+        for (m, tiles), (_, full_tiles) in zip(visited.squares, full.squares):
+            assert len(tiles) == min(m, lines + 1)
+            assert tiles == full_tiles[: min(lines, m - 1) + 1], (m, form)
+
+
+@pytest.mark.parametrize("lines", [1, 5, 22, 70])
+def test_scans_with_the_visited_tiles_match_scans_with_the_full_tables(lines, monkeypatch):
+    # Rows on (90, lines) grids and columns on (lines, 90) ones: a small
+    # verify and a small sieved search report as with every tile built.
+    def scans():
+        return [
+            _essence(run(k, *grid))
+            for grid in ((90, lines), (lines, 90))
+            for run, k in ((verify_no_solutions, 5), (verify_no_solutions, 89),
+                           (lambda k, n, d: find_solutions(k, n, d, use_sieve=True), 11))
+        ]
+
+    with_visited_tiles = scans()
+    full_tables = search._row_tables
+    monkeypatch.setattr(
+        search, "_row_tables", lambda k, length, form=None, lines=None: full_tables(k, length, form)
+    )
+    assert with_visited_tiles == scans()
+    assert any(report.solutions for report in with_visited_tiles)
+
+
 def test_verify_filter_never_uses_the_length_as_modulus(monkeypatch):
     # A filter modulus sharing a factor with p would let verify assume
     # the nonexistence result it is meant to test.
