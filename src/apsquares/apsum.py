@@ -32,7 +32,7 @@ class APWindow(namedtuple("APWindow", "n d k")):
             )
         if k < 1:
             raise ValueError(f"window length must be a positive integer, got {k}")
-        return super().__new__(cls, n, d, k)
+        return tuple.__new__(cls, (n, d, k))
 
     @classmethod
     def _make(cls, iterable: Iterable[int]) -> APWindow:
@@ -75,9 +75,9 @@ def window_form(k: int) -> tuple[int, int, int]:
 
 def window_sum_sq_closed(window: APWindow) -> int:
     """Sum of squared terms via the closed form; equals the direct sum."""
-    a, b, c = window_form(window.k)
-    n, d = window.n, window.d
-    return a * n * n + b * n * d + c * d * d
+    n, d, k = window
+    a, b, c = window_form(k)
+    return (a * n + b * d) * n + c * d * d
 
 
 def check_window_square(window: APWindow) -> SquareOutcome:

@@ -45,10 +45,10 @@ def padic_split(x: int, p: int) -> PAdicSplit:
 def _split(x: int, p: int) -> PAdicSplit:
     """padic_split for x >= 1 and a prime p the caller has already checked."""
     v = 0
-    while x % p == 0:
+    while not x % p:
         x //= p
         v += 1
-    return PAdicSplit(base=p, valuation=v, unit=x)
+    return tuple.__new__(PAdicSplit, (p, v, x))
 
 
 def modpow(base: int, exp: int, mod: int) -> int:

@@ -12,6 +12,10 @@ incompatible with a square. This module computes those obstructions as
 checkable exact-integer reports, handles length 3 by its own mod-3
 analysis, and inverts the congruence into a residue sieve on d/n where
 3 is a residue. A trace checks its prime once, then splits unchecked.
+For p >= 5 it checks the law with one divmod of S by p^(2m+1), m the
+smaller of e and f, and one remainder of the quotient mod p; only a
+violation counts the true valuation, for the error message. Records
+are built positionally, past namedtuple's keyword `__new__`.
 """
 
 from __future__ import annotations
@@ -106,33 +110,25 @@ def valuation_law(window: APWindow) -> TraceReport:
     exactly 2*min(e, f) + 1 -- odd, while 6 times a square has even
     p-adic valuation for p >= 5. The equality is re-derived here and a
     violation raises, since it would contradict the nonexistence result
-    the law is distilled from.
+    the law is distilled from. As p is prime to 6, v_p(6*S) = v_p(S), so
+    one divmod by p^(2m+1) and one remainder mod p decide it.
     """
-    p = window.k
+    n, d, p = window
     _require_nonresidue_prime(p)
-    n_split = _split(window.n, p)
-    d_split = _split(window.d, p)
+    n_split = _split(n, p)
+    d_split = _split(d, p)
     total = window_sum_sq_closed(window)
-    scaled = _split(6 * total, p)
-    min_exp = min(n_split.valuation, d_split.valuation)
-    if scaled.valuation != 2 * min_exp + 1:
+    min_exp = min(n_split[1], d_split[1])
+    expected = 2 * min_exp + 1
+    quotient, rest = divmod(total, p**expected)
+    if rest or not quotient % p:
         raise RuntimeError(
-            f"valuation law violated at {window}: v={scaled.valuation}, "
-            f"expected {2 * min_exp + 1}; this would falsify the "
+            f"valuation law violated at {window}: v={_split(6 * total, p)[1]}, "
+            f"expected {expected}; this would falsify the "
             "nonexistence result"
         )
-    return TraceReport(
-        window=window,
-        prime=p,
-        n_split=n_split,
-        d_split=d_split,
-        obstruction=VALUATION_PARITY,
-        details={
-            "sum": total,
-            "valuation": scaled.valuation,
-            "min_exponent": min_exp,
-        },
-    )
+    details = {"sum": total, "valuation": expected, "min_exponent": min_exp}
+    return tuple.__new__(TraceReport, (window, p, n_split, d_split, VALUATION_PARITY, details))
 
 
 def trace_length3(window: APWindow) -> TraceReport:
@@ -143,30 +139,20 @@ def trace_length3(window: APWindow) -> TraceReport:
     has even valuation and a quotient of 1 mod 3, so exactly one of the
     two fires for every window.
     """
-    if window.k != 3:
-        raise ValueError(f"trace_length3 requires a window of length 3, got {window.k}")
+    n, d, k = window
+    if k != 3:
+        raise ValueError(f"trace_length3 requires a window of length 3, got {k}")
     total = window_sum_sq_closed(window)
-    split = _split(total, 3)
-    v, quotient = split.valuation, split.unit
-    if v % 2 == 0 and quotient % 3 != 2:
+    _, v, quotient = _split(total, 3)
+    residue = quotient % 3
+    if not v % 2 and residue != 2:
         raise RuntimeError(
             f"length-3 case analysis violated at {window}: v={v}, "
             f"Q={quotient}; this would falsify the nonexistence result"
         )
     kind = VALUATION_PARITY if v % 2 else MOD3_QUOTIENT
-    return TraceReport(
-        window=window,
-        prime=3,
-        n_split=_split(window.n, 3),
-        d_split=_split(window.d, 3),
-        obstruction=kind,
-        details={
-            "sum": total,
-            "valuation": v,
-            "quotient": quotient,
-            "quotient_mod_3": quotient % 3,
-        },
-    )
+    details = {"sum": total, "valuation": v, "quotient": quotient, "quotient_mod_3": residue}
+    return tuple.__new__(TraceReport, (window, 3, _split(n, 3), _split(d, 3), kind, details))
 
 
 def residue_sieve(p: int) -> frozenset[int]:

@@ -11,6 +11,10 @@ and decide every cell. For every prime 5 <= k <= 200, the sieved
 the n = a and d = b classes' sizes multiplied, summed over the pairs
 with b = 0 or a * r = b (mod k) for a ratio r of `residue_sieve(k)`.
 The grids hold rows and columns, with fewer and more lines than k.
+Every window with n, d <= 60 of length 3 and of each of those primes
+p = 5, 7 (mod 12) is also traced, and its report's obstruction,
+valuation, quotient, minimum exponent and sum must equal an oracle
+built on `window_sum_sq_direct` and repeated division.
 Takes well under a minute on one CPU. The file
 name keeps pytest from collecting it; run it directly from the
 repository root:
@@ -23,8 +27,8 @@ from __future__ import annotations
 import math
 import sys
 
-from apsquares.apsum import window_form
-from apsquares.obstruction import residue_sieve
+from apsquares.apsum import APWindow, window_form, window_sum_sq_direct
+from apsquares.obstruction import residue_sieve, trace_length3, valuation_law
 from apsquares.search import find_solutions, verify_no_solutions
 
 GRIDS = ((150, 150), (5, 3000), (3000, 5), (2, 9000))
@@ -32,6 +36,7 @@ PRIMES = [p for p in range(2, 201) if all(p % q for q in range(2, math.isqrt(p) 
 LENGTHS = sorted(set(range(2, 65)) | set(PRIMES))
 VERIFIED = [3] + [p for p in PRIMES if p % 12 in (5, 7)]
 SIEVED = [p for p in PRIMES if p >= 5]
+TRACED = 60
 
 
 def oracle(k: int, n_max: int, d_max: int) -> tuple[tuple[int, int, int], ...]:
@@ -59,8 +64,41 @@ def sieved_count(k: int, n_max: int, d_max: int) -> int:
     )
 
 
+def valuation(x: int, p: int) -> tuple[int, int]:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
+def trace_oracle(n: int, d: int, k: int) -> tuple:
+    # (obstruction, valuation, quotient or min_exponent, sum) of a trace.
+    total = window_sum_sq_direct(APWindow(n, d, k))
+    if k == 3:
+        v, quotient = valuation(total, 3)
+        return ("VALUATION_PARITY" if v % 2 else "MOD3_QUOTIENT", v, quotient, total)
+    min_exp = min(valuation(n, k)[0], valuation(d, k)[0])
+    return ("VALUATION_PARITY", valuation(6 * total, k)[0], min_exp, total)
+
+
+def traced(n: int, d: int, k: int) -> tuple:
+    if k == 3:
+        report = trace_length3(APWindow(n, d, k))
+        third = report.details["quotient"]
+    else:
+        report = valuation_law(APWindow(n, d, k))
+        third = report.details["min_exponent"]
+    return (report.obstruction, report.details["valuation"], third, report.details["sum"])
+
+
 def main() -> int:
     wrong = []
+    for k in VERIFIED:
+        for n in range(1, TRACED + 1):
+            for d in range(1, TRACED + 1):
+                if traced(n, d, k) != trace_oracle(n, d, k):
+                    wrong.append(f"trace of ({n}, {d}, {k})")
     for n_max, d_max in GRIDS:
         for k in LENGTHS:
             expected = oracle(k, n_max, d_max)
@@ -77,11 +115,12 @@ def main() -> int:
             if report.solutions or report.windows_checked != n_max * d_max:
                 wrong.append(f"verify_no_solutions({p}, {n_max}, {d_max})")
     if wrong:
-        print(f"{len(wrong)} scans disagree with the oracle, first {wrong[:10]}")
+        print(f"{len(wrong)} scans or traces disagree with the oracle, first {wrong[:10]}")
         return 1
     print(
         f"{len(LENGTHS)} searched and {len(VERIFIED)} verified lengths agree with the oracle,"
-        f" and {len(SIEVED)} sieved lengths with the cell count"
+        f" and {len(SIEVED)} sieved lengths with the cell count;"
+        f" {len(VERIFIED) * TRACED * TRACED} traces agree with theirs"
     )
     return 0
 

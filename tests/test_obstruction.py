@@ -304,3 +304,90 @@ def test_residue_sieve_soundness_brute_force():
                 root = math.isqrt(total)
                 if root * root == total:
                     assert d * pow(n, -1, p) % p in ratios
+
+
+def test_valuation_law_refuses_every_strong_pseudoprime_psi():
+    # Each psi_t passes the first t prime bases; five are 7 (mod 12), so
+    # the mod-12 gate alone would let them through, and psi_12, psi_13
+    # lie above 2^64.
+    from test_residues import _PSI
+
+    assert sum(psi % 12 == 7 for psi in set(_PSI)) == 5
+    for psi in _PSI:
+        with pytest.raises(ValueError) as info:
+            valuation_law(APWindow(1, 1, psi))
+        assert str(info.value) == f"window length must be a prime >= 5, got {psi}"
+
+
+P12 = 2**72 + 301  # prime, 5 (mod 12), in the 12-base band of is_prime
+P13 = 2**79 + 23  # prime, 7 (mod 12), in the 13-base band
+
+
+def test_accepted_valuation_law_checks_the_prime_exactly_once(monkeypatch):
+    calls = []
+    real = residues.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for module in (residues, exactarith, obstruction, search):
+        monkeypatch.setattr(module, "is_prime", counting)
+    for p in (5, 7, 17, M61, P12, P13):
+        for n, d in ((1, 1), (p, 1), (p**3, p * p), (2 * p * p, 3 * p * p)):
+            calls.clear()
+            valuation_law(APWindow(n, d, p))
+            assert calls == [p], (n, d, p, calls)
+
+
+def test_valuation_law_violations_raise_with_the_true_valuation(monkeypatch):
+    # S = 55 for (1, 1, 5); 5 * 55 has v = 2. S = 1375 = 5^3 * 11 for
+    # (5, 5, 5); 1375 / 5 has v = 2 < 3, so the divmod leaves a rest.
+    for window, total in ((APWindow(1, 1, 5), 5 * 55), (APWindow(5, 5, 5), 1375 // 5)):
+        monkeypatch.setattr(obstruction, "window_sum_sq_closed", lambda w, total=total: total)
+        expected = 2 * min(_vp(window.n, 5), _vp(window.d, 5)) + 1
+        with pytest.raises(RuntimeError) as info:
+            valuation_law(window)
+        assert str(info.value) == (
+            f"valuation law violated at {window}: v=2, expected {expected}; "
+            "this would falsify the nonexistence result"
+        )
+
+
+def test_length3_violation_raises(monkeypatch):
+    # A square has even 3-adic valuation and a quotient of 1 (mod 3).
+    for total, v, quotient in ((4, 0, 4), (9 * 4, 2, 4)):
+        monkeypatch.setattr(obstruction, "window_sum_sq_closed", lambda w, total=total: total)
+        with pytest.raises(RuntimeError) as info:
+            trace_length3(APWindow(1, 1, 3))
+        assert str(info.value) == (
+            f"length-3 case analysis violated at APWindow(n=1, d=1, k=3): v={v}, "
+            f"Q={quotient}; this would falsify the nonexistence result"
+        )
+
+
+@given(
+    k=st.sampled_from((P12, P13)),
+    e=st.integers(0, 4),
+    f=st.integers(0, 4),
+    u=st.integers(1, 2**256),
+    w=st.integers(1, 2**256),
+)
+def test_valuation_law_matches_oracles_above_two_to_the_64(k, e, f, u, w):
+    n, d = k**e * u, k**f * w
+    report = valuation_law(APWindow(n, d, k))
+    assert type(report) is obstruction.TraceReport
+    assert type(report.n_split) is exactarith.PAdicSplit
+    assert type(report.d_split) is exactarith.PAdicSplit
+    assert report.window == (n, d, k) and report.prime == k
+    assert report.n_split == padic_split(n, k)
+    assert report.d_split == padic_split(d, k)
+    assert report.obstruction == VALUATION_PARITY
+    total = _expanded_square_sum(n, d, k)
+    min_exp = min(_vp(n, k), _vp(d, k))
+    assert report.details == {
+        "sum": total,
+        "valuation": _vp(6 * total, k),
+        "min_exponent": min_exp,
+    }
+    assert report.details["valuation"] == 2 * min_exp + 1
