@@ -84,8 +84,6 @@ def _escape(char: str) -> str:
 
 def _json_string(text: str) -> str:
     # As `json.dumps(text)` writes it, `ensure_ascii` on.
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'
     return '"' + "".join(map(_escape, text)) + '"'
 
 

@@ -82,11 +82,9 @@ def is_prime(n: int) -> bool:
     for bound, witnesses in _WITNESS_TIERS:
         if n < bound:
             break
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    # n - 1 = d * 2^r with d odd.
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
     for a in witnesses:
         a %= n
         if a < 2:

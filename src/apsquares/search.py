@@ -46,7 +46,10 @@ file belongs to the run when it and the header line are prefixes of one
 another; whatever follows its last newline, a torn header included, is
 a torn line, cut once every other line has passed. Any other line, or a
 row outside [1, d_max], is a hard error that leaves the file untouched;
-so is a path that is not a regular file, refused as it is opened.
+so is a path that is not a regular file, refused as it is opened, and a
+file longer than its run can write (the header, every row once at its
+longest spelling, and one torn line), refused after reading one byte
+past that bound, so a huge file is never read into memory.
 Rows are appended as they complete but flushed about once a second and
 on every exit, an exception included (the CLI turns SIGTERM into one);
 a SIGKILL loses at most about the last second of rows, which a resumed
@@ -237,13 +240,22 @@ def _open_regular(path: str, flags: int) -> int:
 def _resume_rows(fh: BufferedRandom, fingerprint: str, d_max: int) -> set[int]:
     """Completed d rows in an open checkpoint file. Only once every line
     has passed is the torn final line cut and, if no line is left, the
-    header written."""
+    header written. A file longer than its run can write is malformed."""
+    header = fingerprint + "\n"
+    longest = len(_ROW_LINE.format(d_max))  # no row is spelled longer; int() is quadratic
+    # The header, every row once at its longest, and one torn line. A read of n bytes allocates
+    # n up front, so it asks for no more than the file holds.
+    limit = len(header) + d_max * longest + longest - 1
     fh.seek(0)
+    data = fh.read(min(limit, os.fstat(fh.fileno()).st_size) + 1)
+    if len(data) > limit:
+        raise CheckpointMismatch(
+            f"malformed checkpoint {fh.name!r}: longer than the {limit} bytes its run can write"
+        )
     try:
-        data = fh.read().decode("ascii")
+        data = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise CheckpointMismatch(f"checkpoint {fh.name!r} is not an ASCII checkpoint file") from exc
-    header = fingerprint + "\n"
     # Split at the writer's "\n" alone, not also at "\r", "\x0c", ... as splitlines() does. The
     # last item is the torn final line, empty if there is none; a torn header is one too.
     lines = data.split("\n")
@@ -252,7 +264,6 @@ def _resume_rows(fh: BufferedRandom, fingerprint: str, d_max: int) -> set[int]:
             f"checkpoint fingerprint {lines[0]!r} does not match the requested run {fingerprint!r}"
         )
     done = set()
-    longest = len(_ROW_LINE.format(d_max))  # no row is spelled longer; int() is quadratic
     for line in lines[1:-1]:
         # The parse only proposes a row: int() also takes "03", "+3", "1_0", so
         # the line counts only if it is the writer's spelling of that row.
@@ -308,7 +319,7 @@ def _scan_grid(
     opened = nullcontext() if checkpoint is None else open(checkpoint, "a+b", opener=_open_regular)
     with opened as ckpt:
         done = set() if ckpt is None else _resume_rows(ckpt, fingerprint, d_max)
-        flushed = time.monotonic()
+        flushed = time.perf_counter()
         for fixed in range(1, lines + 1):
             classes, kept = shares.get(fixed % k, (None, length))
             windows += kept
@@ -321,9 +332,9 @@ def _scan_grid(
             if ckpt is not None and not hits:
                 ckpt.write(_ROW_LINE.format(fixed).encode("ascii"))
                 # Leaving the `with` flushes the rest, on success and on any exception.
-                if time.monotonic() - flushed >= _FLUSH_S:
+                if time.perf_counter() - flushed >= _FLUSH_S:
                     ckpt.flush()
-                    flushed = time.monotonic()
+                    flushed = time.perf_counter()
     solutions.sort(key=lambda s: (s[1], s[0]))
     return SearchReport(
         k=k,

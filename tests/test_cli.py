@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apsquares.cli as cli
+import apsquares.residues as residues
 import apsquares.search as search
 from apsquares.search import SearchReport
 
@@ -221,6 +222,15 @@ def test_render_json_writes_what_json_dumps_writes(payload, text):
     assert cli._json_width(text) == len(json.dumps(text)) - 2
 
 
+def test_render_json_refuses_what_json_dumps_refuses():
+    payload = {"primes": {5, 7}}
+    with pytest.raises(TypeError) as dumps:
+        json.dumps(payload)
+    with pytest.raises(TypeError) as rendered:
+        cli.render_json(payload)
+    assert str(rendered.value) == str(dumps.value) == "Object of type set is not JSON serializable"
+
+
 def test_sqrtmod_non_residue_reports_null_roots():
     data = json.loads(run_cli("sqrtmod", "--a", "3", "--p", "5").stdout)
     assert data["roots"] is None
@@ -319,6 +329,17 @@ def test_internal_check_failure_is_exit_3_not_counterexample(monkeypatch, capsys
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "re-verification" in json.loads(lines[0])["error"]
+
+
+def test_classify_cross_check_failure_is_exit_3(monkeypatch, capsys):
+    # An Euler criterion that disagrees with the mod-12 class is a bug, not a domain error.
+    euler = residues.legendre_euler
+    monkeypatch.setattr(residues, "legendre_euler", lambda a, p: -euler(a, p))
+    message = "mod-12 class and Euler criterion disagree for p=7"
+    with pytest.raises(RuntimeError, match=message):
+        residues.classify_prime_mod12(7)
+    assert cli.main(["classify", "--p", "7"]) == 3
+    assert capsys.readouterr() == ("", '{"error":"' + message + '"}\n')
 
 
 @pytest.mark.parametrize(
@@ -643,6 +664,20 @@ def test_cli_checkpoint_mismatch_is_exit_2(tmp_path):
     assert "fingerprint" in json.loads(proc.stderr.strip())["error"]
 
 
+def test_checkpoint_longer_than_its_run_can_write_is_exit_2_and_untouched(tmp_path, capsys):
+    # A 3-row run's file holds at most 63 bytes; a longer one is refused before it is cut.
+    ckpt = tmp_path / "huge.ckpt"
+    content = b"k=5 n_max=3 d_max=3 sieve=0\n" + b"done d=1\n" * 10000
+    ckpt.write_bytes(content)
+    argv = ["verify", "--p", "5", "--max-n", "3", "--max-d", "3", "--checkpoint", str(ckpt)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("malformed checkpoint") and str(ckpt) in error
+    assert ckpt.read_bytes() == content
+
+
 def test_cli_checkpoint_file_error_is_exit_2(tmp_path):
     # Exit 1 means a counterexample; a path that cannot be used must not read as one.
     for ckpt in (tmp_path, tmp_path / "missing" / "run.ckpt", ""):
@@ -857,6 +892,19 @@ def test_reader_that_goes_away_mid_report_is_exit_2(unbuffered):
         proc.wait()
     assert proc.returncode == 2
     assert err == b'{"error":"cannot write output: [Errno 32] Broken pipe"}\n'
+
+
+def test_cli_module_runs_as_the_package_does():
+    # `python -m apsquares.cli` enters through cli.py's own `__main__` block.
+    argv = ["classify", "--p", "7"]
+    procs = [
+        subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
+                       timeout=CLI_TIMEOUT_S)
+        for module in ("apsquares.cli", "apsquares")
+    ]
+    assert [(p.returncode, p.stdout, p.stderr) for p in procs] == [
+        (0, '{"legendre3":-1,"mod12":7,"p":7}\n', "")
+    ] * 2
 
 
 def test_cli_imports_neither_dataclasses_nor_typing():
@@ -1193,12 +1241,14 @@ def test_checkpoint_on_a_device_is_exit_2_naming_the_path(kind, tmp_path, capsys
 
 
 def test_oversized_error_records_are_capped(tmp_path):
-    # Each message echoes an input of 50000 or more characters; the one
-    # stderr line keeps its first and last 500 characters.
+    # Each message echoes an input of more than 1000 characters: a malformed
+    # checkpoint line of 1500, which a 200-row run's file has room for, or an
+    # argument of 50000 or more. The one stderr line keeps its first and last
+    # 500 characters.
     ckpt = tmp_path / "long.ckpt"
-    content = f"k=5 n_max=5 d_max=5 sieve=0\ndone d={'1' * 100000}\n".encode("ascii")
+    content = f"k=5 n_max=5 d_max=200 sieve=0\ndone d={'1' * 1493}\n".encode("ascii")
     ckpt.write_bytes(content)
-    resume = ("verify", "--p", "5", "--max-n", "5", "--max-d", "5", "--checkpoint", str(ckpt))
+    resume = ("verify", "--p", "5", "--max-n", "5", "--max-d", "200", "--checkpoint", str(ckpt))
     check = ("check", "--n", "x" * 100000, "--d", "1", "--k", "3")
     huge_p = ("verify", "--p", "1" + "0" * 50000, "--max-n", "1", "--max-d", "1")
     cases = (

@@ -357,6 +357,25 @@ def test_checkpoint_empty_file_is_fresh(tmp_path):
     assert path.read_text(encoding="ascii").splitlines()[0] == "k=5 n_max=10 d_max=4 sieve=0"
 
 
+def test_checkpoint_size_bound_is_the_longest_file_the_run_writes(tmp_path):
+    # With d_max = 9 every row line has the longest spelling, 9 bytes: the
+    # longest file is the header, all 9 rows and a torn line of 8 bytes.
+    full = verify_no_solutions(5, 30, 9)
+    finished = "k=5 n_max=30 d_max=9 sieve=0\n" + "".join(f"done d={d}\n" for d in range(1, 10))
+    limit = len(finished) + 8
+    assert limit == 118
+    path = tmp_path / "bound.ckpt"
+    path.write_text(finished + "done d=9", encoding="ascii")
+    assert _essence(verify_no_solutions(5, 30, 9, checkpoint=str(path))) == _essence(full)
+    assert path.read_text(encoding="ascii") == finished
+    content = (finished + "done d=99").encode("ascii")
+    assert len(content) == limit + 1
+    path.write_bytes(content)
+    with pytest.raises(CheckpointMismatch, match=r"malformed checkpoint .*bound\.ckpt"):
+        verify_no_solutions(5, 30, 9, checkpoint=str(path))
+    assert path.read_bytes() == content
+
+
 def test_counterexample_reported_and_not_checkpointed(tmp_path):
     # Run verify's driver past its gate for p = 11, where genuine square
     # windows exist, to exercise the falsification path end to end.
