@@ -3,15 +3,12 @@ classification of the quadratic character of 3, modular square roots, and
 primality testing.
 
 `is_prime` is trial division by the primes up to 41, then a strong
-(Miller-Rabin) test to the bases of the band that n falls in, each base
-reduced mod n and skipped when that leaves 0 or 1. Below 3,215,031,751
-the bands use one published minimal base
-(https://miller-rabin.appspot.com/) or the first 2, 3 or 4 prime bases.
-From there to 2^64 n is decided by BPSW: the strong test to base 2, then
+(Miller-Rabin) test to the first t prime bases, exact below psi_t, the
+least strong pseudoprime to them (Jaeschke 1993; Sorenson & Webster
+2017): 2, 3 or 4 bases below 3,215,031,751, and 12 or 13 from 2^64 on.
+Between the two, n is decided by BPSW: the strong test to base 2, then
 the extra strong Lucas test, which no composite below 2^64 passes with
-it (Baillie & Wagstaff 1980; Baillie, Fiori & Wagstaff 2021). From 2^64
-on the bands use the first 12 or 13 prime bases, exact below psi_t by
-the table of Jaeschke (1993) and Sorenson & Webster (2017). Below
+it (Baillie & Wagstaff 1980; Baillie, Fiori & Wagstaff 2021). Below
 DETERMINISTIC_LIMIT every verdict is exact; at or beyond it the 14 bases
 2..43 give a probable-prime verdict."""
 
@@ -21,6 +18,8 @@ from collections import namedtuple
 from math import inf, isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The strong-test bases: each row of `_WITNESS_TIERS` is a prefix.
+_PRIME_BASES = (*_SMALL_PRIMES, 43)
 
 # psi_13: the least strong pseudoprime to all 13 bases 2..41
 # (1287836182261 * 2575672364521; Sorenson & Webster). Every n below it
@@ -34,23 +33,20 @@ DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 # passes the extra strong Lucas test.
 _BPSW_LIMIT = 2**64
 
-# (bound, bases): the strong test to the bases, each reduced mod n and
-# skipped when that leaves 0 or 1, decides every n < bound exactly, in
-# the (2,) band together with `_extra_strong_lucas`. The one-base set is
-# the published minimal one for its band (miller-rabin.appspot.com),
-# verified under that skip rule; the first t prime bases end at psi_t,
-# the least strong pseudoprime to them (OEIS A014233). The last row has
-# no bound: from DETERMINISTIC_LIMIT on, the 14 bases 2..43 give a
-# probable-prime verdict, not a proof.
+# (bound, bases): the strong test to the first t prime bases decides every
+# n < psi_t exactly (OEIS A014233); in the (2,) row, base 2 together with
+# `_extra_strong_lucas` decides every n < 2^64. The last row has no bound:
+# from DETERMINISTIC_LIMIT on, the 14 bases 2..43 give a probable-prime
+# verdict, not a proof. Every n that reaches the bases is at least 43^2,
+# so no base needs reducing mod n.
 _WITNESS_TIERS = (
-    (341_531, (9345883071009581737,)),
-    (1_373_653, (2, 3)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (_BPSW_LIMIT, (2,)),
-    (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
-    (DETERMINISTIC_LIMIT, _SMALL_PRIMES),
-    (inf, (*_SMALL_PRIMES, 43)),
+    (1_373_653, _PRIME_BASES[:2]),
+    (25_326_001, _PRIME_BASES[:3]),
+    (3_215_031_751, _PRIME_BASES[:4]),
+    (_BPSW_LIMIT, _PRIME_BASES[:1]),
+    (318_665_857_834_031_151_167_461, _PRIME_BASES[:12]),
+    (DETERMINISTIC_LIMIT, _PRIME_BASES[:13]),
+    (inf, _PRIME_BASES),
 )
 
 
@@ -66,11 +62,11 @@ def is_prime(n: int) -> bool:
 
     Exact for all n < DETERMINISTIC_LIMIT (about 3.3e24): n < 43^2 needs
     no base, and otherwise each band of `_WITNESS_TIERS` has its own set:
-    1 to 4 bases below 3,215,031,751; base 2 and then the extra strong
-    Lucas test from there to 2^64; the first 12 or 13 prime bases from
-    2^64 on. Each base is reduced mod n and skipped when that leaves 0 or
-    1. Inputs at or beyond the limit fall in the table's last, unbounded
-    row, whose 14 bases 2..43 give a strong probable-prime verdict.
+    the first 2 to 4 prime bases below 3,215,031,751; base 2 and then the
+    extra strong Lucas test from there to 2^64; the first 12 or 13 prime
+    bases from 2^64 on. Inputs at or beyond the limit fall in the table's
+    last, unbounded row, whose 14 bases 2..43 give a strong probable-prime
+    verdict.
     """
     if n < 2:
         return False
@@ -86,9 +82,6 @@ def is_prime(n: int) -> bool:
     r = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> r
     for a in witnesses:
-        a %= n
-        if a < 2:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -3,9 +3,9 @@
 Two passes compare with the sieve for every n below 26,000,000, which is
 past psi_3 = 25,326,001:
 
-1. `is_prime` as it is, so the trial-division tier (n < 43^2), the
-   one-base tier (n < 341,531) and the (2, 3) and (2, 3, 5) tiers are
-   each proved exact on their whole range.
+1. `is_prime` as it is, so the trial-division tier (n < 43^2) and the
+   (2, 3) and (2, 3, 5) tiers are each proved exact on their whole
+   range.
 2. `is_prime` with every n from 43^2 on sent to the band below 2^64:
    trial division, the strong test to base 2, then the extra strong
    Lucas test. Every base-2 strong pseudoprime below the limit with no

@@ -111,9 +111,20 @@ def test_each_psi_fools_its_bases_but_not_is_prime():
     assert _PSI[-1] == DETERMINISTIC_LIMIT
 
 
+def test_witness_tiers_are_prime_prefixes_ending_at_psi():
+    # Each band runs the first t prime bases up to psi_t; the (2,) band adds
+    # the Lucas test and ends at 2^64, and the last runs 2..43 unbounded.
+    *rows, last = residues._WITNESS_TIERS
+    for bound, bases in rows:
+        t = len(bases)
+        assert bases == _BASES[:t], bound
+        assert bound == (2**64 if t == 1 else _PSI[t - 1]), bound
+    assert last == (math.inf, (*_BASES, 43))
+
+
 def test_is_prime_matches_sieve_below_two_million():
-    # Exhaustive over the trial-division tier (n < 43^2) and the 1- and
-    # 2-base tiers (n < psi_2 = 1373653).
+    # Exhaustive over the trial-division tier (n < 43^2) and the (2, 3)
+    # tier (n < psi_2 = 1373653).
     limit = 2_000_000
     primes = set(primes_below(limit))
     assert [n for n in range(limit) if is_prime(n) != (n in primes)] == []
