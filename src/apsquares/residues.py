@@ -2,13 +2,12 @@
 classification of the quadratic character of 3, modular square roots, and
 primality testing.
 
-`is_prime` is trial division by the primes up to 41, then a strong
-(Miller-Rabin) test to the first t prime bases, exact below psi_t, the
-least strong pseudoprime to them (Jaeschke 1993; Sorenson & Webster
-2017): 2, 3 or 4 bases below 3,215,031,751, and 12 or 13 from 2^64 on.
-Between the two, n is decided by BPSW: the strong test to base 2, then
-the extra strong Lucas test, which no composite below 2^64 passes with
-it (Baillie & Wagstaff 1980; Baillie, Fiori & Wagstaff 2021). Below
+`is_prime` is trial division by the primes up to 41, then BPSW below
+2^64: the strong (Miller-Rabin) test to base 2, then the extra strong
+Lucas test, which no composite below 2^64 passes with it (Baillie &
+Wagstaff 1980; Baillie, Fiori & Wagstaff 2021). From 2^64 on it runs the
+strong test to the first 12 or 13 prime bases, exact below psi_t, the
+least strong pseudoprime to them (Sorenson & Webster 2017). Below
 DETERMINISTIC_LIMIT every verdict is exact; at or beyond it the 14 bases
 2..43 give a probable-prime verdict."""
 
@@ -33,16 +32,12 @@ DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 # passes the extra strong Lucas test.
 _BPSW_LIMIT = 2**64
 
-# (bound, bases): the strong test to the first t prime bases decides every
-# n < psi_t exactly (OEIS A014233); in the (2,) row, base 2 together with
-# `_extra_strong_lucas` decides every n < 2^64. The last row has no bound:
-# from DETERMINISTIC_LIMIT on, the 14 bases 2..43 give a probable-prime
-# verdict, not a proof. Every n that reaches the bases is at least 43^2,
-# so no base needs reducing mod n.
+# (bound, bases): base 2 together with `_extra_strong_lucas` decides every
+# n < 2^64; above it the first t prime bases decide every n < psi_t exactly
+# (OEIS A014233). The last row has no bound: from DETERMINISTIC_LIMIT on,
+# the 14 bases 2..43 give a probable-prime verdict, not a proof. Every n
+# that reaches the bases is at least 43^2, so no base needs reducing mod n.
 _WITNESS_TIERS = (
-    (1_373_653, _PRIME_BASES[:2]),
-    (25_326_001, _PRIME_BASES[:3]),
-    (3_215_031_751, _PRIME_BASES[:4]),
     (_BPSW_LIMIT, _PRIME_BASES[:1]),
     (318_665_857_834_031_151_167_461, _PRIME_BASES[:12]),
     (DETERMINISTIC_LIMIT, _PRIME_BASES[:13]),
@@ -62,11 +57,10 @@ def is_prime(n: int) -> bool:
 
     Exact for all n < DETERMINISTIC_LIMIT (about 3.3e24): n < 43^2 needs
     no base, and otherwise each band of `_WITNESS_TIERS` has its own set:
-    the first 2 to 4 prime bases below 3,215,031,751; base 2 and then the
-    extra strong Lucas test from there to 2^64; the first 12 or 13 prime
-    bases from 2^64 on. Inputs at or beyond the limit fall in the table's
-    last, unbounded row, whose 14 bases 2..43 give a strong probable-prime
-    verdict.
+    BPSW (base 2, then the extra strong Lucas test) below 2^64, the first
+    12 or 13 prime bases up to psi_t above. Inputs at or beyond the limit
+    fall in the table's last, unbounded row, whose 14 bases 2..43 give a
+    strong probable-prime verdict.
     """
     if n < 2:
         return False

@@ -135,15 +135,12 @@ class _RowTables(namedtuple("_RowTables", "form width every_kth_cell squares")):
     __slots__ = ()
 
 
-def _row_tables(
-    k: int, length: int, form: tuple[int, int, int] | None = None, lines: int | None = None
-) -> _RowTables:
-    """Tables for lines of `length` cells; `form` defaults to the rows'
-    `window_form(k)`. A run of `lines` lines fixes the coordinates
-    1..lines, so it needs only the tiles of the residues below
-    min(m, lines + 1); without `lines` every residue has its tile."""
+def _row_tables(k: int, length: int, form: tuple[int, int, int], lines: int) -> _RowTables:
+    """Tables for `lines` lines of `length` cells in the quadratic `form`.
+    The lines fix the coordinates 1..lines, so they need only the tiles
+    of the residues below min(m, lines + 1)."""
     width = min(length, _BLOCK)
-    a, b, c = form = form or window_form(k)
+    a, b, c = form
     squares = []
     for m in _MODULI:
         if math.gcd(m, k) > 1:
@@ -156,7 +153,7 @@ def _row_tables(
         linear = [b * x % m for x in range(m, 0, -1)]
         repunit = _repunit(m, width + m - 1)
         tiles = []
-        for r in range(m if lines is None else min(m, lines + 1)):
+        for r in range(min(m, lines + 1)):
             constant = c * r * r
             period = "".join(
                 [is_square[(ax2 + bx * r + constant) % m] for ax2, bx in zip(quadratic, linear)]
@@ -298,7 +295,8 @@ def _scan_grid(
     fingerprint = f"k={k} n_max={n_max} d_max={d_max} sieve={int(ratios is not None)}"
     columns = checkpoint is None and n_max < d_max
     lines, length = (n_max, d_max) if columns else (d_max, n_max)
-    tables = _row_tables(k, length, window_form(k)[::-1] if columns else None, lines)
+    form = window_form(k)
+    tables = _row_tables(k, length, form[::-1] if columns else form, lines)
     # A row keeps n = d * r^-1 (mod k) for each ratio r, and all of a row
     # with k | d. A column keeps what its rows keep: d = n * r, and k | d.
     # `shares` maps the fixed coordinate mod k of every sieved line to its

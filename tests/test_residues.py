@@ -112,9 +112,11 @@ def test_each_psi_fools_its_bases_but_not_is_prime():
 
 
 def test_witness_tiers_are_prime_prefixes_ending_at_psi():
-    # Each band runs the first t prime bases up to psi_t; the (2,) band adds
-    # the Lucas test and ends at 2^64, and the last runs 2..43 unbounded.
+    # BPSW, base 2 and then the Lucas test, decides every n below 2^64; each
+    # band above runs the first t prime bases up to psi_t, and the last runs
+    # 2..43 unbounded.
     *rows, last = residues._WITNESS_TIERS
+    assert rows[0] == (2**64, (2,))
     for bound, bases in rows:
         t = len(bases)
         assert bases == _BASES[:t], bound
@@ -123,8 +125,8 @@ def test_witness_tiers_are_prime_prefixes_ending_at_psi():
 
 
 def test_is_prime_matches_sieve_below_two_million():
-    # Exhaustive over the trial-division tier (n < 43^2) and the (2, 3)
-    # tier (n < psi_2 = 1373653).
+    # Exhaustive over the trial-division tier (n < 43^2) and the first
+    # two million n of the BPSW band below 2^64.
     limit = 2_000_000
     primes = set(primes_below(limit))
     assert [n for n in range(limit) if is_prime(n) != (n in primes)] == []
@@ -163,49 +165,28 @@ def test_is_prime_rejects_strong_pseudoprimes_straddling_the_tiers():
         assert not is_prime(n), n
 
 
-# The witness sets below 2^64: the strong test to the bases, each reduced
-# mod n and skipped when that leaves 0 or 1, decides every n < bound
-# exactly. The sets of 1 and of 3 to 7 bases are the published minimal ones
-# (miller-rabin.appspot.com); the first 2 to 4 prime bases end at psi_t.
-_MINIMAL_BASES = (
-    (341_531, (9345883071009581737,)),
-    (1_373_653, (2, 3)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (350_269_456_337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
-    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
-    (
-        7_999_252_175_582_851,
-        (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
-    ),
-    (
-        585_226_005_592_931_977,
-        (
-            2,
-            123635709730000,
-            9233062284813009,
-            43835965440333360,
-            761179012939631437,
-            1263739024124850375,
-        ),
-    ),
-    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+# The bounds of the published minimal strong-test base sets below 2^64
+# (miller-rabin.appspot.com), each a composite that fools its set, with its
+# prime factors. None bounds a band of is_prime, which must reject each.
+_PUBLISHED_BOUNDS = (
+    (341_531, (239, 1429)),
+    (1_373_653, (829, 1657)),
+    (25_326_001, (2251, 11251)),
+    (3_215_031_751, (151, 751, 28351)),
+    (350_269_456_337, (197279, 1775503)),
+    (55_245_642_489_451, (3716371, 14865481)),
+    (7_999_252_175_582_851, (9227, 894923, 968731)),
+    (585_226_005_592_931_977, (382500329, 1530001313)),
 )
-# Each band [lo, hi) that one witness set decides, from 43^2 (below it
-# trial division decides) up to DETERMINISTIC_LIMIT.
-_BANDS = tuple(
-    zip(
-        (1849, *(bound for bound, _ in _MINIMAL_BASES), _PSI[11]),
-        (*(bound for bound, _ in _MINIMAL_BASES), _PSI[11], _PSI[12]),
-    )
-)
+# Each band [lo, hi) that one rule of is_prime decides, from 43^2 (below it
+# trial division decides) up to DETERMINISTIC_LIMIT: base 2 and the Lucas
+# test below 2^64, then the first 12 and the first 13 prime bases.
+_BANDS = ((1849, 2**64), (2**64, _PSI[11]), (_PSI[11], _PSI[12]))
 
 
-def test_each_minimal_bound_fools_its_bases_but_not_is_prime():
-    for bound, bases in _MINIMAL_BASES[:-1]:
-        # A base that the bound wraps to 0 or 1 is skipped, as in is_prime.
-        wrapped = [a % bound for a in bases]
-        assert all(a < 2 or _strong_probable_prime(bound, a) for a in wrapped), bound
+def test_is_prime_rejects_each_published_bound():
+    for bound, factors in _PUBLISHED_BOUNDS:
+        assert math.prod(factors) == bound and all(f > 1 for f in factors), bound
         assert not is_prime(bound), bound
 
 
@@ -223,8 +204,9 @@ def test_each_minimal_bound_fools_its_bases_but_not_is_prime():
     ],
 )
 def test_is_prime_skips_a_base_that_wraps_to_zero(n, prime):
-    own_bases = next(bases for bound, bases in _MINIMAL_BASES if n < bound)
-    assert any(a % n == 0 for a in own_bases)
+    # Each n divides a base of one published 64-bit set, so a tester running
+    # that set must skip the base; is_prime runs no such base, and its
+    # verdict must be the 13-base oracle's.
     assert is_prime(n) == prime == _thirteen_base_is_prime(n)
 
 
@@ -248,11 +230,15 @@ def test_is_prime_matches_thirteen_bases_in_each_band(band, where, offset):
 
 
 def test_bpsw_band_psi_pass_base_two_but_not_is_prime():
-    # From 3215031751 to 2^64 is_prime runs only base 2 and then the extra
-    # strong Lucas test. Each psi_t there is a base-2 strong pseudoprime, so
-    # the Lucas test alone must reject it.
-    band_psi = sorted({psi for psi in _PSI if 3_215_031_751 <= psi < 2**64})
-    assert len(band_psi) == 5
+    # From 43^2 to 2^64 is_prime runs only base 2 and then the extra strong
+    # Lucas test. Each psi_t there with no prime factor up to 41 is a base-2
+    # strong pseudoprime that trial division lets through, so the Lucas test
+    # alone must reject it.
+    band_psi = sorted(
+        {psi for psi in _PSI if 1849 <= psi < 2**64 and all(psi % p for p in _BASES)}
+    )
+    assert band_psi[:3] == [1_373_653, 25_326_001, 3_215_031_751]
+    assert len(band_psi) == 7
     for psi in band_psi:
         assert _strong_probable_prime(psi, 2), psi
         assert not _extra_strong_lucas(psi), psi

@@ -396,12 +396,15 @@ def test_injected_fake_hit_fails_reverification(monkeypatch):
 
 
 _BLOCK = search._BLOCK
+# Lines enough to visit every residue of every selector modulus, so the
+# tables hold a tile for each.
+_ALL_LINES = max(search._MODULI)
 
 
 def _kernel_hits(k, d, n_lo, n_hi, sieve):
     # The kernel as find_solutions drives it: the sieve only for prime
     # k >= 5 and only on rows with k not dividing d.
-    tables = search._row_tables(k, n_hi - n_lo + 1)
+    tables = search._row_tables(k, n_hi - n_lo + 1, window_form(k), lines=_ALL_LINES)
     classes = None
     if sieve and k >= 5 and search.is_prime(k) and d % k:
         classes = {d * pow(r, -1, k) % k for r in search.residue_sieve(k)}
@@ -454,7 +457,7 @@ def test_kernel_keeps_exactly_the_cells_of_its_classes(k):
     lengths = (1, _BLOCK, 2 * _BLOCK + 17)
     hits_seen = 0
     for columns in (False, True):
-        form = (c, b, a) if columns else None
+        form = (c, b, a) if columns else (a, b, c)
         for m in (1, 2**40 + 9):
             fixed, x0 = (m * n0, m * d0) if columns else (m * d0, m * n0)
             lo = 1 if m == 1 else x0 - _BLOCK - 5
@@ -470,7 +473,7 @@ def test_kernel_keeps_exactly_the_cells_of_its_classes(k):
             for length in lengths:
                 hi = lo + length - 1
                 line = [hit for hit in squares if hit[0] <= hi]
-                tables = search._row_tables(k, length, form)
+                tables = search._row_tables(k, length, form, lines=_ALL_LINES)
                 three = {h, (h + 2) % k, (h + 5) % k}
                 for classes in (None, set(range(k)), set(), {h}, {(h + 1) % k}, three):
                     kept = [hit for hit in line if classes is None or hit[0] % k in classes]
@@ -503,7 +506,7 @@ def test_kernel_keeps_exactly_the_cells_of_its_classes_without_selector_moduli()
             for length in lengths:
                 hi = lo + length - 1
                 line = [hit for hit in squares if hit[0] <= hi]
-                tables = search._row_tables(k, length, form)
+                tables = search._row_tables(k, length, form, lines=_ALL_LINES)
                 assert not tables.squares
                 every = {x % k for x in range(lo, hi + 1)}
                 for classes in (None, every, set(), {lo % k}, {(lo + 1) % k, hi % k}):
@@ -578,7 +581,7 @@ def _assert_tiles_match(tables, k, width, cell):
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
 def test_row_tables_match_residue_enumeration(k):
     n_max = 40
-    tables = search._row_tables(k, n_max)
+    tables = search._row_tables(k, n_max, window_form(k), lines=_ALL_LINES)
     assert tables.form == window_form(k)
     assert tables.width == n_max
     _assert_tiles_match(tables, k, n_max, lambda r, x: (x, r))
@@ -591,8 +594,8 @@ def test_row_tables_match_residue_enumeration(k):
 def test_tables_for_a_runs_lines_hold_the_full_tables_visited_tiles(k, lines):
     # A run's lines fix the coordinates 1..lines, so they visit only the
     # residues below min(m, lines + 1); those tiles are the full build's.
-    for form in (None, window_form(k)[::-1]):
-        full = search._row_tables(k, 40, form)
+    for form in (window_form(k), window_form(k)[::-1]):
+        full = search._row_tables(k, 40, form, lines=_ALL_LINES)
         visited = search._row_tables(k, 40, form, lines)
         assert visited._replace(squares=None) == full._replace(squares=None)
         assert [m for m, _ in visited.squares] == [m for m, _ in full.squares]
@@ -616,7 +619,7 @@ def test_scans_with_the_visited_tiles_match_scans_with_the_full_tables(lines, mo
     with_visited_tiles = scans()
     full_tables = search._row_tables
     monkeypatch.setattr(
-        search, "_row_tables", lambda k, length, form=None, lines=None: full_tables(k, length, form)
+        search, "_row_tables", lambda k, length, form, lines: full_tables(k, length, form, _ALL_LINES)
     )
     assert with_visited_tiles == scans()
     assert any(report.solutions for report in with_visited_tiles)
@@ -697,7 +700,7 @@ def test_verify_tall_grid_same_with_and_without_checkpoint(p, tmp_path):
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
 def test_column_tables_match_residue_enumeration(k):
     d_max = 40
-    tables = search._row_tables(k, d_max, window_form(k)[::-1])
+    tables = search._row_tables(k, d_max, window_form(k)[::-1], lines=_ALL_LINES)
     assert tables.form == window_form(k)[::-1]
     assert tables.width == d_max
     _assert_tiles_match(tables, k, d_max, lambda r, x: (r, x))

@@ -26,12 +26,13 @@ and 89.
 
 The oracle stands apart from the library: Legendre symbols come from
 Euler's criterion with `pow`, and k - 1, k and k + 1 are trial-factored.
-It is checked one way only: an insoluble length has no square window on
-a small grid.
+It is checked both ways on small grids: an insoluble length has no
+square window, and a soluble one has one.
 """
 
 import pytest
 
+from apsquares.apsum import APWindow, check_window_square
 from apsquares.search import find_solutions
 
 LENGTHS = range(2, 1001)
@@ -109,3 +110,19 @@ def test_every_verify_length_fails_at_itself():
 def test_insoluble_lengths_have_no_square_window():
     for k in INSOLUBLE:
         assert find_solutions(k, 40, 40).solutions == (), k
+
+
+# Soluble lengths with no square window on 300^2: a known cell and its root.
+_FAR_CELLS = {362: (155, 331, 1316051), 383: (1417, 137, 615864)}
+
+
+def test_soluble_lengths_have_a_square_window():
+    soluble = [k for k in LENGTHS if k <= 400 and not FAILING[k]]
+    assert len(soluble) == 65
+    for k in soluble:
+        if k in _FAR_CELLS:
+            n, d, root = _FAR_CELLS[k]
+            assert check_window_square(APWindow(n, d, k)).root == root, k
+            continue
+        for use_sieve in (False, True):
+            assert find_solutions(k, 300, 300, use_sieve=use_sieve).solutions, (k, use_sieve)
