@@ -55,7 +55,6 @@ from .residues import DETERMINISTIC_LIMIT, classify_prime_mod12, legendre_euler,
 from .search import SearchReport, find_solutions, verify_no_solutions
 
 _FORMATS = ("json", "csv", "text")
-_FORMAT_ENV = "APSQUARES_FORMAT"
 _JSON_SAFE_MAX = 2**53 - 1
 
 
@@ -317,7 +316,7 @@ _COMMANDS = {
 }
 
 # Every command also takes `--format`, whose kind is its tuple of choices, and `-h`/`--help`.
-_FORMAT_FLAG = {"--format": (f"output format (default: json, or ${_FORMAT_ENV})", _FORMATS)}
+_FORMAT_FLAG = {"--format": ("output format (default: json)", _FORMATS)}
 _HELP_FLAGS = ("-h", "--help")
 
 
@@ -390,9 +389,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         choices = ", ".join(map(repr, _COMMANDS))
         raise ValueError(f"argument command: invalid choice: {name!r} (choose from {choices})")
     flags = {**_COMMANDS[name].flags, **_FORMAT_FLAG}
-    env_format = os.environ.get(_FORMAT_ENV)
-    # An unrecognised environment value is ignored, not an error.
-    values = {"command": name, "format": env_format if env_format in _FORMATS else "json"}
+    values = {"command": name, "format": "json"}
     for flag, (_, kind) in _COMMANDS[name].flags.items():
         values[flag[2:].replace("-", "_")] = False if kind is bool else None
     known = {*flags, *_HELP_FLAGS}

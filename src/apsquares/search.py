@@ -76,13 +76,9 @@ class CheckpointMismatch(ValueError):
     """The checkpoint file does not belong to the requested run."""
 
 
-class SearchReport(
-    namedtuple(
-        "SearchReport",
-        "k n_range d_range windows_checked solutions sieve_used elapsed checkpoint_state",
-    )
-):
-    """Outcome of one grid scan.
+class SearchReport(namedtuple("SearchReport", "k windows_checked solutions sieve_used elapsed")):
+    """Outcome of one grid scan; the grid and any checkpoint path are the
+    caller's own arguments, so the report does not repeat them.
 
     `windows_checked` counts cells whose sum underwent a square
     decision, including cells the residue selector rejects; under the
@@ -336,13 +332,10 @@ def _scan_grid(
     solutions.sort(key=lambda s: (s[1], s[0]))
     return SearchReport(
         k=k,
-        n_range=(1, n_max),
-        d_range=(1, d_max),
         windows_checked=windows,
         solutions=tuple(solutions),
         sieve_used=ratios is not None,
         elapsed=time.perf_counter() - start,
-        checkpoint_state=checkpoint,
     )
 
 

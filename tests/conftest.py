@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 # CLI tests run `python -m apsquares` in a subprocess; let it import the
 # package from this checkout's src/ without an install, as pytest's
 # `pythonpath` setting does for the test process itself.
@@ -16,14 +14,6 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 
 # Far beyond any CLI run in the suite; a child that hangs fails one test.
 CLI_TIMEOUT_S = 120
-
-
-@pytest.fixture(autouse=True)
-def _no_inherited_settings(monkeypatch):
-    # An ambient APSQUARES_FORMAT would change the output of cli.main and
-    # of every CLI child; a test that wants a setting passes it itself.
-    for key in [key for key in os.environ if key.startswith("APSQUARES_")]:
-        monkeypatch.delenv(key)
 
 
 def run_cli(*args, env_extra=None):

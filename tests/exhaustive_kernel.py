@@ -4,7 +4,10 @@ For every window length k in 2..64 and every prime k up to 200, on the
 grids 150 x 150 (rows), 5 x 3000 (columns), 3000 x 5 (rows) and
 2 x 9000 (columns crossing two selector blocks), `find_solutions` with
 and without the sieve must list exactly the cells whose `window_form`
-value is a perfect square by `math.isqrt`. For 3 and every prime
+value is a perfect square by `math.isqrt`, and wherever that oracle finds a
+window, the local-solubility oracle `failing_primes(k)` of
+`tests/test_solubility.py` must name no prime: an insoluble length has no
+square window on any of the grids. For 3 and every prime
 p = 5, 7 (mod 12) up to 200, `verify_no_solutions` must find nothing
 and decide every cell. For every prime 5 <= k <= 200, the sieved
 `windows_checked` must equal a count over residue pairs (a, b) mod k:
@@ -30,6 +33,8 @@ import sys
 from apsquares.apsum import APWindow, window_form, window_sum_sq_direct
 from apsquares.obstruction import residue_sieve, trace_length3, valuation_law
 from apsquares.search import find_solutions, verify_no_solutions
+# The script's own directory, tests/, is first on sys.path.
+from test_solubility import failing_primes
 
 GRIDS = ((150, 150), (5, 3000), (3000, 5), (2, 9000))
 PRIMES = [p for p in range(2, 201) if all(p % q for q in range(2, math.isqrt(p) + 1))]
@@ -102,6 +107,8 @@ def main() -> int:
     for n_max, d_max in GRIDS:
         for k in LENGTHS:
             expected = oracle(k, n_max, d_max)
+            if expected and failing_primes(k):
+                wrong.append(f"insoluble length {k} has a window on {n_max} x {d_max}")
             for use_sieve in (False, True):
                 report = find_solutions(k, n_max, d_max, use_sieve)
                 if report.solutions != expected:
@@ -119,8 +126,8 @@ def main() -> int:
         return 1
     print(
         f"{len(LENGTHS)} searched and {len(VERIFIED)} verified lengths agree with the oracle,"
-        f" and {len(SIEVED)} sieved lengths with the cell count;"
-        f" {len(VERIFIED) * TRACED * TRACED} traces agree with theirs"
+        f" and {len(SIEVED)} sieved lengths with the cell count; no insoluble length has a"
+        f" window; {len(VERIFIED) * TRACED * TRACED} traces agree with theirs"
     )
     return 0
 

@@ -278,20 +278,15 @@ def test_prime_parameters_beyond_deterministic_range_rejected():
     assert "deterministic" in json.loads(proc.stderr.strip())["error"]
 
 
-def test_format_env_variable_sets_default():
-    proc = run_cli("classify", "--p", "7", env_extra={"APSQUARES_FORMAT": "csv"})
-    assert proc.stdout == "p,mod12,legendre3\n7,7,-1\n"
-    proc = run_cli(
-        "classify", "--p", "7", "--format", "json", env_extra={"APSQUARES_FORMAT": "csv"}
-    )
-    assert proc.stdout == '{"legendre3":-1,"mod12":7,"p":7}\n'
-
-
-def test_unrecognised_format_env_value_falls_back_to_json():
-    for value in ("xml", "CSV", ""):
-        proc = run_cli("classify", "--p", "7", env_extra={"APSQUARES_FORMAT": value})
-        assert proc.returncode == 0
-        assert proc.stdout == '{"legendre3":-1,"mod12":7,"p":7}\n'
+@pytest.mark.parametrize("value", ["csv", "text", "xml", ""])
+def test_format_comes_from_the_argv_alone(value, monkeypatch, capsys):
+    # No environment variable picks the format: the same argv prints the same bytes.
+    expected = '{"legendre3":-1,"mod12":7,"p":7}\n'
+    proc = run_cli("classify", "--p", "7", env_extra={"APSQUARES_FORMAT": value})
+    assert (proc.returncode, proc.stdout) == (0, expected)
+    monkeypatch.setenv("APSQUARES_FORMAT", value)
+    assert cli.main(["classify", "--p", "7"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_text_format_is_human_oriented():
@@ -304,13 +299,10 @@ def test_text_format_is_human_oriented():
 def test_counterexample_exit_code_1(monkeypatch, capsys):
     fake = SearchReport(
         k=11,
-        n_range=(1, 30),
-        d_range=(1, 1),
         windows_checked=30,
         solutions=((18, 1, 77),),
         sieve_used=False,
         elapsed=0.0,
-        checkpoint_state=None,
     )
     monkeypatch.setattr(cli, "verify_no_solutions", lambda *args, **kwargs: fake)
     code = cli.main(["verify", "--p", "5", "--max-n", "30", "--max-d", "1"])

@@ -35,13 +35,10 @@ RECORDS = [
         SearchReport,
         {
             "k": 11,
-            "n_range": (1, 50),
-            "d_range": (1, 1),
             "windows_checked": 50,
             "solutions": ((18, 1, 77),),
             "sieve_used": False,
             "elapsed": 0.0,
-            "checkpoint_state": None,
         },
     ),
 ]

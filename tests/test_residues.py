@@ -203,10 +203,10 @@ def test_is_prime_rejects_each_published_bound():
         (2_496_591_062_878_201, False),
     ],
 )
-def test_is_prime_skips_a_base_that_wraps_to_zero(n, prime):
-    # Each n divides a base of one published 64-bit set, so a tester running
-    # that set must skip the base; is_prime runs no such base, and its
-    # verdict must be the 13-base oracle's.
+def test_is_prime_matches_thirteen_bases_on_pinned_n(n, prime):
+    # Pinned primes and composites from 98,207 to 2.5e15, below 2^64, where
+    # is_prime runs base 2 and the Lucas test: its verdict must be the
+    # 13-base oracle's.
     assert is_prime(n) == prime == _thirteen_base_is_prime(n)
 
 
