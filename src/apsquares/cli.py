@@ -86,16 +86,12 @@ def _json_string(text: str) -> str:
     return '"' + "".join(map(_escape, text)) + '"'
 
 
-def _json_width(text: str) -> int:
-    # Bytes `text` takes inside a JSON string: an escaped character takes 2 to 12.
-    return len(_json_string(text)) - 2
-
-
 def _fitting(chars: Iterable[str], budget: int) -> int:
-    # How many of `chars`, from the first, fit in `budget` bytes of JSON string.
+    # How many of `chars`, from the first, fit in `budget` bytes of JSON string; an escaped
+    # character takes 2 to 12.
     kept = 0
     for char in chars:
-        budget -= _json_width(char)
+        budget -= len(_escape(char))
         if budget < 0:
             break
         kept += 1
@@ -107,7 +103,7 @@ def _print_error(message: str) -> None:
     # ends, each at most 500 bytes once escaped. With no usable stderr (None, closed or full),
     # or a Ctrl-C or SIGTERM meanwhile, the record is lost and the code already chosen stays.
     try:
-        if _json_width(message) > 1000:
+        if len(_json_string(message)) - 2 > 1000:
             head, tail = _fitting(message, 500), _fitting(reversed(message), 500)
             cut = len(message) - head - tail
             message = f"{message[:head]}...[{cut} characters cut]...{message[len(message) - tail:]}"

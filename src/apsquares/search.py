@@ -76,7 +76,7 @@ class CheckpointMismatch(ValueError):
     """The checkpoint file does not belong to the requested run."""
 
 
-class SearchReport(namedtuple("SearchReport", "k windows_checked solutions sieve_used elapsed")):
+class SearchReport(namedtuple("SearchReport", "k windows_checked solutions sieve_used")):
     """Outcome of one grid scan; the grid and any checkpoint path are the
     caller's own arguments, so the report does not repeat them.
 
@@ -84,8 +84,9 @@ class SearchReport(namedtuple("SearchReport", "k windows_checked solutions sieve
     decision, including cells the residue selector rejects; under the
     sieve it is the grid size minus the pruned cells. Every (n, d, t)
     in `solutions` was re-verified on insertion.
-    `elapsed` is wall time of this invocation only and is excluded from
-    serialized reports.
+    The report is a pure function of the scan's arguments: equal scans,
+    resumed or not, give equal, hashable reports. A caller who wants
+    wall time times the call.
     """
 
     __slots__ = ()
@@ -287,7 +288,6 @@ def _scan_grid(
     sieve, and `checkpoint` resumes from and marks rows done in the named
     file (see the module docstring). Every line, done or scanned, adds its
     kept cells, or all its cells, to `windows_checked`."""
-    start = time.perf_counter()
     fingerprint = f"k={k} n_max={n_max} d_max={d_max} sieve={int(ratios is not None)}"
     columns = checkpoint is None and n_max < d_max
     lines, length = (n_max, d_max) if columns else (d_max, n_max)
@@ -335,7 +335,6 @@ def _scan_grid(
         windows_checked=windows,
         solutions=tuple(solutions),
         sieve_used=ratios is not None,
-        elapsed=time.perf_counter() - start,
     )
 
 

@@ -8,10 +8,12 @@ value is a perfect square by `math.isqrt`, and wherever that oracle finds a
 window, the local-solubility oracle `failing_primes(k)` of
 `tests/test_solubility.py` must name no prime: an insoluble length has no
 square window on any of the grids. For 3 and every prime
-p = 5, 7 (mod 12) up to 200, `verify_no_solutions` must find nothing
-and decide every cell. For every prime 5 <= k <= 200, the sieved
-`windows_checked` must equal a count over residue pairs (a, b) mod k:
-the n = a and d = b classes' sizes multiplied, summed over the pairs
+p = 5, 7 (mod 12) up to 200, `verify_no_solutions` must find nothing,
+decide every cell and return a report equal to the unsieved
+`find_solutions` report of that length on that grid. For every prime
+5 <= k <= 200, the sieved `windows_checked` must equal a count over
+residue pairs (a, b) mod k: the n = a and d = b classes' sizes
+multiplied, summed over the pairs
 with b = 0 or a * r = b (mod k) for a ratio r of `residue_sieve(k)`.
 The grids hold rows and columns, with fewer and more lines than k.
 Every window with n, d <= 60 of length 3 and of each of those primes
@@ -105,12 +107,15 @@ def main() -> int:
                 if traced(n, d, k) != trace_oracle(n, d, k):
                     wrong.append(f"trace of ({n}, {d}, {k})")
     for n_max, d_max in GRIDS:
+        unsieved = {}
         for k in LENGTHS:
             expected = oracle(k, n_max, d_max)
             if expected and failing_primes(k):
                 wrong.append(f"insoluble length {k} has a window on {n_max} x {d_max}")
             for use_sieve in (False, True):
                 report = find_solutions(k, n_max, d_max, use_sieve)
+                if not use_sieve:
+                    unsieved[k] = report
                 if report.solutions != expected:
                     wrong.append(f"find_solutions({k}, {n_max}, {d_max}, {use_sieve})")
                 elif use_sieve and k in SIEVED and report.windows_checked != sieved_count(
@@ -119,7 +124,11 @@ def main() -> int:
                     wrong.append(f"find_solutions({k}, {n_max}, {d_max}, True).windows_checked")
         for p in VERIFIED:
             report = verify_no_solutions(p, n_max, d_max)
-            if report.solutions or report.windows_checked != n_max * d_max:
+            if (
+                report.solutions
+                or report.windows_checked != n_max * d_max
+                or report != unsieved[p]
+            ):
                 wrong.append(f"verify_no_solutions({p}, {n_max}, {d_max})")
     if wrong:
         print(f"{len(wrong)} scans or traces disagree with the oracle, first {wrong[:10]}")

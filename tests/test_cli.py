@@ -219,7 +219,7 @@ def _json_oracle(value):
 def test_render_json_writes_what_json_dumps_writes(payload, text):
     expected = json.dumps(_json_oracle(payload), sort_keys=True, separators=(",", ":")) + "\n"
     assert cli.render_json(payload) == expected
-    assert cli._json_width(text) == len(json.dumps(text)) - 2
+    assert cli._json_string(text) == json.dumps(text)
 
 
 def test_render_json_refuses_what_json_dumps_refuses():
@@ -302,7 +302,6 @@ def test_counterexample_exit_code_1(monkeypatch, capsys):
         windows_checked=30,
         solutions=((18, 1, 77),),
         sieve_used=False,
-        elapsed=0.0,
     )
     monkeypatch.setattr(cli, "verify_no_solutions", lambda *args, **kwargs: fake)
     code = cli.main(["verify", "--p", "5", "--max-n", "30", "--max-d", "1"])

@@ -38,7 +38,6 @@ RECORDS = [
             "windows_checked": 50,
             "solutions": ((18, 1, 77),),
             "sieve_used": False,
-            "elapsed": 0.0,
         },
     ),
 ]

@@ -30,11 +30,6 @@ def _brute_solutions(k, n_max, d_max):
     return tuple(out)
 
 
-def _essence(report):
-    # identical reports up to wall time
-    return report._replace(elapsed=0.0)
-
-
 def test_verify_pinned_grids():
     report = verify_no_solutions(3, 500, 500)
     assert report.windows_checked == 250_000
@@ -197,7 +192,7 @@ def test_scaling_closure():
 def test_determinism_of_repeat_runs():
     first = find_solutions(11, 150, 150, use_sieve=True)
     again = find_solutions(11, 150, 150, use_sieve=True)
-    assert _essence(first) == _essence(again)
+    assert first == again
 
 
 def test_checkpoint_file_format(tmp_path):
@@ -238,7 +233,7 @@ def test_checkpoint_resume_after_every_row(tmp_path):
             encoding="ascii",
         )
         resumed = verify_no_solutions(5, 30, 12, checkpoint=str(path))
-        assert _essence(resumed) == _essence(full)
+        assert resumed == full
         lines = path.read_text(encoding="ascii").splitlines()
         assert lines[1:] == [f"done d={d}" for d in range(1, 13)]
 
@@ -290,7 +285,7 @@ def test_checkpoint_torn_tail_is_cut_before_append(tmp_path):
     for content in (fingerprint + "\ndone d=1\ndone d=", fingerprint[:7]):
         path.write_text(content, encoding="ascii")
         resumed = verify_no_solutions(5, 30, 12, checkpoint=str(path))
-        assert _essence(resumed) == _essence(full)
+        assert resumed == full
         assert path.read_text(encoding="ascii") == fingerprint + "\n" + "".join(
             f"done d={d}\n" for d in range(1, 13)
         )
@@ -321,7 +316,7 @@ def test_checkpoint_resume_from_every_byte_prefix(tmp_path):
     for cut in range(len(finished) + 1):
         path.write_bytes(finished[:cut])
         resumed = search._scan_grid(11, 40, 25, None, str(path))
-        assert _essence(resumed) == _essence(full)
+        assert resumed == full
         assert path.read_bytes() == finished
 
 
@@ -364,7 +359,7 @@ def test_checkpoint_size_bound_is_the_longest_file_the_run_writes(tmp_path):
     assert limit == 118
     path = tmp_path / "bound.ckpt"
     path.write_text(finished + "done d=9", encoding="ascii")
-    assert _essence(verify_no_solutions(5, 30, 9, checkpoint=str(path))) == _essence(full)
+    assert verify_no_solutions(5, 30, 9, checkpoint=str(path)) == full
     assert path.read_text(encoding="ascii") == finished
     content = (finished + "done d=99").encode("ascii")
     assert len(content) == limit + 1
@@ -519,7 +514,7 @@ def test_kernel_takes_isqrt_only_on_selected_cells(k, monkeypatch):
     # square modulo every selector modulus coprime to k, counted here by
     # brute force: rows and columns, sieve on and off.
     moduli = [(m, {x * x % m for x in range(m)}) for m in search._MODULI if math.gcd(m, k) == 1]
-    ratios = _sieve_inverses(k)
+    ratios = _sieve_ratios(k)
     lines = []
     real_isqrt, real_scan_row = math.isqrt, search._scan_row
 
@@ -608,7 +603,7 @@ def test_scans_with_the_visited_tiles_match_scans_with_the_full_tables(lines, mo
     # verify and a small sieved search report as with every tile built.
     def scans():
         return [
-            _essence(run(k, *grid))
+            run(k, *grid)
             for grid in ((90, lines), (lines, 90))
             for run, k in ((verify_no_solutions, 5), (verify_no_solutions, 89),
                            (lambda k, n, d: find_solutions(k, n, d, use_sieve=True), 11))
@@ -645,7 +640,7 @@ def test_verify_filter_never_uses_the_length_as_modulus(monkeypatch):
             assert all(math.gcd(m, p) == 1 for m, _ in tables.squares), p
 
 
-def _sieve_inverses(k):
+def _sieve_ratios(k):
     # find_solutions' sieve: the admissible ratios, for prime k >= 5.
     return residue_sieve(k) if k >= 5 and is_prime(k) else None
 
@@ -675,15 +670,15 @@ def test_rows_and_columns_agree(k, tmp_path, monkeypatch):
     kept = _count_kept_cells(monkeypatch)
     for n_max, d_max in ((7, 600), (20 if k < 89 else 3, max(2 * k * k + 2, 60))):
         brute = _brute_solutions(k, n_max, d_max)
-        for inverses in dict.fromkeys((None, _sieve_inverses(k))):
-            path = tmp_path / f"{n_max}-{inverses is None}.ckpt"
+        for ratios in dict.fromkeys((None, _sieve_ratios(k))):
+            path = tmp_path / f"{n_max}-{ratios is None}.ckpt"
             kept.clear()
-            rows = search._scan_grid(k, n_max, d_max, inverses, str(path))
+            rows = search._scan_grid(k, n_max, d_max, ratios, str(path))
             assert len(kept) == d_max and sum(kept) == rows.windows_checked
             kept.clear()
-            columns = search._scan_grid(k, n_max, d_max, inverses, None)
+            columns = search._scan_grid(k, n_max, d_max, ratios, None)
             assert len(kept) == n_max and sum(kept) == columns.windows_checked
-            assert columns.solutions == rows.solutions == brute, (n_max, d_max, inverses)
+            assert columns.solutions == rows.solutions == brute, (n_max, d_max, ratios)
             assert columns.windows_checked == rows.windows_checked
 
 
@@ -697,11 +692,12 @@ def test_verify_tall_grid_same_with_and_without_checkpoint(p, tmp_path):
 
 def test_verify_report_is_the_same_scanned_by_rows_or_by_columns(tmp_path):
     # The checkpointed run scans 300 rows and the other 20 columns; the
-    # report names neither the checkpoint nor the grid, so all but the
-    # wall time is equal.
+    # report names neither the checkpoint nor the grid, so the two are
+    # equal, down to their hashes.
     rows = verify_no_solutions(5, 20, 300, checkpoint=str(tmp_path / "rows.ckpt"))
     columns = verify_no_solutions(5, 20, 300)
-    assert _essence(rows) == _essence(columns)
+    assert rows == columns
+    assert hash(rows) == hash(columns)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
