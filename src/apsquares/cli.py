@@ -168,8 +168,8 @@ def _checked_prime_param(value: int, flag: str) -> int:
 def _classify(args: SimpleNamespace) -> _Output:
     profile = classify_prime_mod12(_checked_prime_param(args.p, "--p"))
     kind = "residue" if profile.legendre3 == 1 else "non-residue"
-    payload = {"p": profile.p, "mod12": profile.residue_mod_12, "legendre3": profile.legendre3}
-    text = f"p = {profile.p}: p mod 12 = {profile.residue_mod_12}, 3 is a quadratic {kind} of p"
+    payload = {"p": args.p, "mod12": profile.residue_mod_12, "legendre3": profile.legendre3}
+    text = f"p = {args.p}: p mod 12 = {profile.residue_mod_12}, 3 is a quadratic {kind} of p"
     return _Output(payload, text)
 
 
@@ -235,9 +235,10 @@ def _trace(args: SimpleNamespace) -> _Output:
 
 
 def _grid_output(
-    args: SimpleNamespace, report: SearchReport, text: str, status: int = 0, **fields: object
+    args: SimpleNamespace, report: SearchReport, length: int, text: str, status: int = 0,
+    **fields: object
 ) -> _Output:
-    """The verify and search report: payload, and one `k,n,d,t` CSV row per solution."""
+    """The verify and search report: payload, and a `k,n,d,t` CSV row per solution, k = `length`."""
     payload = {
         **fields,
         "max_n": args.max_n,
@@ -245,7 +246,7 @@ def _grid_output(
         "windows": report.windows_checked,
         "solutions": report.solutions,
     }
-    return _Output(payload, text, [[report.k, *sol] for sol in report.solutions], status)
+    return _Output(payload, text, [[length, *sol] for sol in report.solutions], status)
 
 
 def _verify(args: SimpleNamespace) -> _Output:
@@ -254,14 +255,14 @@ def _verify(args: SimpleNamespace) -> _Output:
     if report.solutions:
         text = (
             f"COUNTEREXAMPLE: {len(report.solutions)} square window(s) of "
-            f"length {report.k} found; this falsifies the nonexistence result"
+            f"length {p} found; this falsifies the nonexistence result"
         )
     else:
         text = (
-            f"p = {report.k}: no square windows for n <= {args.max_n}, "
+            f"p = {p}: no square windows for n <= {args.max_n}, "
             f"d <= {args.max_d} ({report.windows_checked} windows checked)"
         )
-    return _grid_output(args, report, text, 1 if report.solutions else 0, p=report.k)
+    return _grid_output(args, report, p, text, 1 if report.solutions else 0, p=p)
 
 
 def _search(args: SimpleNamespace) -> _Output:
@@ -270,11 +271,11 @@ def _search(args: SimpleNamespace) -> _Output:
     report = find_solutions(k, args.max_n, args.max_d, use_sieve=args.sieve)
     sieved = ", sieved" if report.sieve_used else ""
     lines = [
-        f"k = {report.k}: {len(report.solutions)} square window(s) for n <= {args.max_n}, "
+        f"k = {k}: {len(report.solutions)} square window(s) for n <= {args.max_n}, "
         f"d <= {args.max_d} ({report.windows_checked} windows checked{sieved})"
     ]
     lines.extend(f"  n={n} d={d} t={t}" for (n, d, t) in report.solutions)
-    return _grid_output(args, report, "\n".join(lines), k=report.k, sieve=report.sieve_used)
+    return _grid_output(args, report, k, "\n".join(lines), k=k, sieve=report.sieve_used)
 
 
 # `columns` is the CSV header, and `run` the handler. `flags` maps a flag to its help and its

@@ -76,9 +76,9 @@ class CheckpointMismatch(ValueError):
     """The checkpoint file does not belong to the requested run."""
 
 
-class SearchReport(namedtuple("SearchReport", "k windows_checked solutions sieve_used")):
-    """Outcome of one grid scan; the grid and any checkpoint path are the
-    caller's own arguments, so the report does not repeat them.
+class SearchReport(namedtuple("SearchReport", "windows_checked solutions sieve_used")):
+    """Outcome of one grid scan, only the three things it decides. The caller
+    echoes the length, grid and checkpoint path from its own arguments.
 
     `windows_checked` counts cells whose sum underwent a square
     decision, including cells the residue selector rejects; under the
@@ -331,7 +331,6 @@ def _scan_grid(
                     flushed = time.perf_counter()
     solutions.sort(key=lambda s: (s[1], s[0]))
     return SearchReport(
-        k=k,
         windows_checked=windows,
         solutions=tuple(solutions),
         sieve_used=ratios is not None,

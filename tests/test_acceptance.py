@@ -142,9 +142,9 @@ def test_c07_known_solutions_recovered():
     assert (7, 1, 92) in report23.solutions
     report24 = find_solutions(24, 5, 1)
     assert (1, 1, 70) in report24.solutions
-    for report in (report11, report23, report24):
+    for k, report in ((11, report11), (23, report23), (24, report24)):
         for n, d, t in report.solutions:
-            assert direct_square_sum(n, d, report.k) == t * t
+            assert direct_square_sum(n, d, k) == t * t
     _announce(7, started, "(18,1,77), (7,1,92), (1,1,70) recovered and re-verified by direct summation")
 
 

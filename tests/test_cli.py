@@ -298,7 +298,6 @@ def test_text_format_is_human_oriented():
 
 def test_counterexample_exit_code_1(monkeypatch, capsys):
     fake = SearchReport(
-        k=11,
         windows_checked=30,
         solutions=((18, 1, 77),),
         sieve_used=False,
@@ -308,6 +307,7 @@ def test_counterexample_exit_code_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.out)["solutions"] == [[18, 1, 77]]
+    assert json.loads(captured.out)["p"] == 5
 
 
 def test_internal_check_failure_is_exit_3_not_counterexample(monkeypatch, capsys):

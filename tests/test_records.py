@@ -34,7 +34,6 @@ RECORDS = [
     (
         SearchReport,
         {
-            "k": 11,
             "windows_checked": 50,
             "solutions": ((18, 1, 77),),
             "sieve_used": False,
