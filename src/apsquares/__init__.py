@@ -17,20 +17,14 @@ from .apsum import (
     window_sum_sq_closed,
     window_sum_sq_direct,
 )
-from .exactarith import (
-    PAdicSplit,
-    is_perfect_square,
-    isqrt,
-    modinv,
-    modpow,
-    padic_split,
-)
 from .obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
     ObstructionWitness,
+    PAdicSplit,
     TraceReport,
     obstruction_witness,
+    padic_split,
     residue_sieve,
     square_sum_congruence_holds,
     trace_length3,
@@ -69,13 +63,9 @@ __all__ = [
     "check_window_square",
     "classify_prime_mod12",
     "find_solutions",
-    "is_perfect_square",
     "is_prime",
-    "isqrt",
     "jacobi",
     "legendre_euler",
-    "modinv",
-    "modpow",
     "obstruction_witness",
     "padic_split",
     "residue_sieve",

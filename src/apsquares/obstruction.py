@@ -8,14 +8,14 @@ square, writing n = p^e*N, d = p^f*D with N, D coprime to p forces
 and from that congruence [K*(3N - D)]^2 = 3 (mod p) with K the inverse
 of N, i.e. 3 must be a quadratic residue of p. For p = 5, 7 (mod 12) it
 is not, the congruence is unsatisfiable, and v_p(6*S) comes out odd --
-incompatible with a square. This module computes those obstructions as
-checkable exact-integer reports, handles length 3 by its own mod-3
-analysis, and inverts the congruence into a residue sieve on d/n where
-3 is a residue. A trace checks its prime once, then splits unchecked.
-For p >= 5 it checks the law with one divmod of S by p^(2m+1), m the
-smaller of e and f, and one remainder of the quotient mod p; only a
-violation counts the true valuation, for the error message. Records
-are built positionally, past namedtuple's keyword `__new__`.
+incompatible with a square. This module holds the split n = p^e*N that
+the law reads, computes those obstructions as checkable exact-integer
+reports, handles length 3 by its own mod-3 analysis, and inverts the
+congruence into a residue sieve on d/n where 3 is a residue. A trace
+checks its prime once, then splits unchecked. For p >= 5 it checks the
+law with one divmod of S by p^(2m+1), m = min(e, f), and one remainder
+of the quotient mod p; only a violation counts the true valuation.
+Records are built positionally, past namedtuple's keyword `__new__`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .apsum import APWindow, window_sum_sq_closed
-from .exactarith import _split
 from .residues import is_prime, sqrt_mod_prime
 
 # Obstruction kinds carried by TraceReport. The tracing operations below
@@ -31,6 +30,34 @@ from .residues import is_prime, sqrt_mod_prime
 # possible at all, so every report carries one of these.
 VALUATION_PARITY = "VALUATION_PARITY"
 MOD3_QUOTIENT = "MOD3_QUOTIENT"
+
+
+class PAdicSplit(namedtuple("PAdicSplit", "base valuation unit")):
+    """Decomposition x = base**valuation * unit with base not dividing unit."""
+
+    __slots__ = ()
+
+    def value(self) -> int:
+        """Reconstruct the split integer exactly."""
+        return self.base**self.valuation * self.unit
+
+
+def padic_split(x: int, p: int) -> PAdicSplit:
+    """Split x >= 1 as p**v * unit with p not dividing unit."""
+    if x < 1:
+        raise ValueError("p-adic split is only defined for positive integers")
+    if not is_prime(p):
+        raise ValueError(f"p-adic split requires a prime base, got {p}")
+    return _split(x, p)
+
+
+def _split(x: int, p: int) -> PAdicSplit:
+    """padic_split for x >= 1 and a prime p the caller has already checked."""
+    v = 0
+    while not x % p:
+        x //= p
+        v += 1
+    return tuple.__new__(PAdicSplit, (p, v, x))
 
 
 class TraceReport(namedtuple("TraceReport", "window prime n_split d_split obstruction details")):

@@ -24,8 +24,8 @@ it visits only the cells that survive (about 0.2-1%); they alone have S
 evaluated and an exact `math.isqrt` taken. A modulus sharing a factor
 with k is never used: for length p the mod-p test is the nonexistence
 theorem itself (it rejects every length-5 cell), so `verify` would
-assume what it checks. A length divisible by every modulus has no
-selector, and its lines keep every cell. Lines longer than a block of
+assume what it checks. A length sharing a prime with every modulus has
+no selector; its lines keep every cell. Lines longer than a block of
 4096 cells are selected block by block, so the tables stay bounded.
 
 The sieve applies to prime k >= 5. Its one value, `residue_sieve(k)`,

@@ -11,11 +11,11 @@ import time
 from conftest import direct_square_sum, primes_below, run_cli
 
 from apsquares.apsum import APWindow, window_sum_sq_closed
-from apsquares.exactarith import padic_split
 from apsquares.obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
     obstruction_witness,
+    padic_split,
     square_sum_congruence_holds,
     trace_length3,
 )

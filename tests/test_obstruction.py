@@ -7,13 +7,14 @@ from conftest import direct_square_sum
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apsquares import exactarith, obstruction, residues, search
+from apsquares import obstruction, residues, search
 from apsquares.apsum import APWindow
-from apsquares.exactarith import padic_split
 from apsquares.obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
+    PAdicSplit,
     obstruction_witness,
+    padic_split,
     residue_sieve,
     square_sum_congruence_holds,
     trace_length3,
@@ -30,6 +31,32 @@ def _vp(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
+
+
+def test_padic_split_pinned_values():
+    assert padic_split(18, 3) == PAdicSplit(base=3, valuation=2, unit=2)
+    assert padic_split(7, 5) == PAdicSplit(base=5, valuation=0, unit=7)
+    assert padic_split(126, 3) == PAdicSplit(base=3, valuation=2, unit=14)
+
+
+def test_padic_split_round_trip():
+    for p in (3, 5, 7, 11, 13):
+        for x in range(1, 10_001):
+            split = padic_split(x, p)
+            assert split.value() == x
+            assert split.unit % p != 0
+            assert split.base == p and split.valuation >= 0
+
+
+def test_padic_split_domain_errors():
+    with pytest.raises(ValueError):
+        padic_split(0, 3)  # valuation of 0 is rejected, not infinity
+    with pytest.raises(ValueError):
+        padic_split(-9, 3)
+    with pytest.raises(ValueError):
+        padic_split(12, 4)
+    with pytest.raises(ValueError):
+        padic_split(12, 1)
 
 
 def test_congruence_pinned_values():
@@ -194,7 +221,7 @@ def test_traces_check_the_prime_at_most_once(monkeypatch):
         calls.append(n)
         return real(n)
 
-    for module in (residues, exactarith, obstruction, search):
+    for module in (residues, obstruction, search):
         monkeypatch.setattr(module, "is_prime", counting)
     windows = (APWindow(1, 1, 5), APWindow(25, 10, 5), APWindow(7**3, 49, 7), APWindow(3, 2, 17))
     for window in windows:
@@ -331,7 +358,7 @@ def test_accepted_valuation_law_checks_the_prime_exactly_once(monkeypatch):
         calls.append(n)
         return real(n)
 
-    for module in (residues, exactarith, obstruction, search):
+    for module in (residues, obstruction, search):
         monkeypatch.setattr(module, "is_prime", counting)
     for p in (5, 7, 17, M61, P12, P13):
         for n, d in ((1, 1), (p, 1), (p**3, p * p), (2 * p * p, 3 * p * p)):
@@ -377,8 +404,8 @@ def test_valuation_law_matches_oracles_above_two_to_the_64(k, e, f, u, w):
     n, d = k**e * u, k**f * w
     report = valuation_law(APWindow(n, d, k))
     assert type(report) is obstruction.TraceReport
-    assert type(report.n_split) is exactarith.PAdicSplit
-    assert type(report.d_split) is exactarith.PAdicSplit
+    assert type(report.n_split) is obstruction.PAdicSplit
+    assert type(report.d_split) is obstruction.PAdicSplit
     assert report.window == (n, d, k) and report.prime == k
     assert report.n_split == padic_split(n, k)
     assert report.d_split == padic_split(d, k)
