@@ -20,13 +20,10 @@ from .apsum import (
 from .obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
-    ObstructionWitness,
     PAdicSplit,
     TraceReport,
-    obstruction_witness,
     padic_split,
     residue_sieve,
-    square_sum_congruence_holds,
     trace_length3,
     valuation_law,
 )
@@ -53,7 +50,6 @@ __all__ = [
     "CheckpointMismatch",
     "DETERMINISTIC_LIMIT",
     "MOD3_QUOTIENT",
-    "ObstructionWitness",
     "PAdicSplit",
     "PrimeProfile",
     "SearchReport",
@@ -66,11 +62,9 @@ __all__ = [
     "is_prime",
     "jacobi",
     "legendre_euler",
-    "obstruction_witness",
     "padic_split",
     "residue_sieve",
     "sqrt_mod_prime",
-    "square_sum_congruence_holds",
     "sum_first_k",
     "sum_sq_first_k",
     "trace_length3",

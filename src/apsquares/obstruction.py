@@ -10,12 +10,12 @@ of N, i.e. 3 must be a quadratic residue of p. For p = 5, 7 (mod 12) it
 is not, the congruence is unsatisfiable, and v_p(6*S) comes out odd --
 incompatible with a square. This module holds the split n = p^e*N that
 the law reads, computes those obstructions as checkable exact-integer
-reports, handles length 3 by its own mod-3 analysis, and inverts the
-congruence into a residue sieve on d/n where 3 is a residue. A trace
-checks its prime once, then splits unchecked. For p >= 5 it checks the
-law with one divmod of S by p^(2m+1), m = min(e, f), and one remainder
-of the quotient mod p; only a violation counts the true valuation.
-Records are built positionally, past namedtuple's keyword `__new__`.
+reports, handles length 3 by its own mod-3 analysis, and solves the
+congruence once, for d/n, in `residue_sieve`. A trace checks its prime
+once, then splits unchecked. For p >= 5 it checks the law with one
+divmod of S by p^(2m+1), m = min(e, f), and one remainder of the
+quotient mod p; only a violation counts the true valuation. Records are
+built positionally, past namedtuple's keyword `__new__`.
 """
 
 from __future__ import annotations
@@ -71,51 +71,6 @@ class TraceReport(namedtuple("TraceReport", "window prime n_split d_split obstru
     """
 
     __slots__ = ()
-
-
-class ObstructionWitness(
-    namedtuple("ObstructionWitness", "prime n_residue d_residue inverse witness")
-):
-    """Residue data exhibiting 3 as a square mod p when the congruence holds."""
-
-    __slots__ = ()
-
-
-def _require_unit_pair(n_unit: int, d_unit: int, p: int) -> None:
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"a prime >= 5 is required, got {p}")
-    if n_unit % p == 0 or d_unit % p == 0:
-        raise ValueError(f"both residues must be coprime to {p}")
-
-
-def square_sum_congruence_holds(n_unit: int, d_unit: int, p: int) -> bool:
-    """Test 6*a^2 - 6*a*b + b^2 = 0 (mod p) for units a, b mod p.
-
-    This is the condition the p-free parts of n and d must satisfy for a
-    length-p window sum to be a perfect square.
-    """
-    _require_unit_pair(n_unit, d_unit, p)
-    return (6 * n_unit * n_unit - 6 * n_unit * d_unit + d_unit * d_unit) % p == 0
-
-
-def obstruction_witness(n_unit: int, d_unit: int, p: int) -> ObstructionWitness:
-    """Exhibit [K*(3a - b)]^2 mod p, where K inverts a mod p.
-
-    Whenever square_sum_congruence_holds(a, b, p), the witness equals 3,
-    certifying that 3 is a quadratic residue of p.
-    """
-    _require_unit_pair(n_unit, d_unit, p)
-    n_res = n_unit % p
-    d_res = d_unit % p
-    inverse = pow(n_res, -1, p)
-    witness = (inverse * (3 * n_res - d_res)) ** 2 % p
-    return ObstructionWitness(
-        prime=p,
-        n_residue=n_res,
-        d_residue=d_res,
-        inverse=inverse,
-        witness=witness,
-    )
 
 
 def _require_nonresidue_prime(p: int) -> None:
@@ -185,11 +140,11 @@ def trace_length3(window: APWindow) -> TraceReport:
 def residue_sieve(p: int) -> frozenset[int]:
     """Admissible ratios d * n^-1 mod p for a square length-p window sum.
 
-    Solving the unit congruence for the ratio r = b/a gives r = 3 -+ x
-    with x^2 = 3 (mod p), so: empty when 3 is a non-residue of p, and
-    exactly two residue classes otherwise. Any window with p dividing
-    neither n nor d whose sum is a perfect square has its ratio in this
-    set; windows divisible by p reduce to this case by exact scaling.
+    A unit r = D/N is in this set exactly when (3 - r)^2 = 3 (mod p): the
+    congruence over N^2, and the witness [K*(3N - D)]^2 = 3 with K = N^-1.
+    So it is {3 -+ x} with x^2 = 3, or empty when 3 is a non-residue. A
+    window with p dividing neither n nor d and a square sum has its ratio
+    here; windows divisible by p reduce to this case by exact scaling.
     """
     if p < 5 or not is_prime(p):
         raise ValueError(f"residue sieve requires a prime >= 5, got {p}")

@@ -19,7 +19,10 @@ The grids hold rows and columns, with fewer and more lines than k.
 Every window with n, d <= 60 of length 3 and of each of those primes
 p = 5, 7 (mod 12) is also traced, and its report's obstruction,
 valuation, quotient, minimum exponent and sum must equal an oracle
-built on `window_sum_sq_direct` and repeated division.
+built on `window_sum_sq_direct` and repeated division. For every prime
+5 <= p < 10^4, `residue_sieve(p)` must be exactly the units r mod p
+with (3 - r)^2 = 3 (mod p): the paper's witness [N^-1 * (3N - D)]^2 = 3
+for the ratio r = D/N.
 Takes well under a minute on one CPU. The file
 name keeps pytest from collecting it; run it directly from the
 repository root:
@@ -39,7 +42,9 @@ from apsquares.search import find_solutions, verify_no_solutions
 from test_solubility import failing_primes
 
 GRIDS = ((150, 150), (5, 3000), (3000, 5), (2, 9000))
-PRIMES = [p for p in range(2, 201) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+PRIMES_BELOW_10K = [p for p in range(2, 10_000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+PRIMES = [p for p in PRIMES_BELOW_10K if p <= 200]
+WITNESSED = PRIMES_BELOW_10K[2:]
 LENGTHS = sorted(set(range(2, 65)) | set(PRIMES))
 VERIFIED = [3] + [p for p in PRIMES if p % 12 in (5, 7)]
 SIEVED = [p for p in PRIMES if p >= 5]
@@ -101,6 +106,9 @@ def traced(n: int, d: int, k: int) -> tuple:
 
 def main() -> int:
     wrong = []
+    for p in WITNESSED:
+        if residue_sieve(p) != {r for r in range(1, p) if (3 - r) ** 2 % p == 3}:
+            wrong.append(f"residue_sieve({p})")
     for k in VERIFIED:
         for n in range(1, TRACED + 1):
             for d in range(1, TRACED + 1):
@@ -131,12 +139,13 @@ def main() -> int:
             ):
                 wrong.append(f"verify_no_solutions({p}, {n_max}, {d_max})")
     if wrong:
-        print(f"{len(wrong)} scans or traces disagree with the oracle, first {wrong[:10]}")
+        print(f"{len(wrong)} scans, traces or sieves disagree with the oracle, first {wrong[:10]}")
         return 1
     print(
         f"{len(LENGTHS)} searched and {len(VERIFIED)} verified lengths agree with the oracle,"
         f" and {len(SIEVED)} sieved lengths with the cell count; no insoluble length has a"
-        f" window; {len(VERIFIED) * TRACED * TRACED} traces agree with theirs"
+        f" window; {len(VERIFIED) * TRACED * TRACED} traces agree with theirs; {len(WITNESSED)}"
+        " residue sieves are the witness identity"
     )
     return 0
 

@@ -14,9 +14,8 @@ from apsquares.apsum import APWindow, window_sum_sq_closed
 from apsquares.obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
-    obstruction_witness,
     padic_split,
-    square_sum_congruence_holds,
+    residue_sieve,
     trace_length3,
 )
 from apsquares.residues import jacobi, legendre_euler, sqrt_mod_prime
@@ -120,12 +119,17 @@ def test_c06_witness_exhaustion():
     started = time.perf_counter()
     confirming = 0
     for p in (5, 7, 11, 13, 17, 19, 23):
+        ratios = residue_sieve(p)
         hits = 0
         for nu in range(1, p):
+            inverse = pow(nu, -1, p)
             for du in range(1, p):
-                if square_sum_congruence_holds(nu, du, p):
+                # 6N^2 - 6ND + D^2 = 0 (mod p), solved once for D/N by residue_sieve
+                holds = (6 * nu * nu - 6 * nu * du + du * du) % p == 0
+                assert holds == (du * inverse % p in ratios)
+                if holds:
                     hits += 1
-                    assert obstruction_witness(nu, du, p).witness == 3
+                    assert (inverse * (3 * nu - du)) ** 2 % p == 3  # the witness
         if p % 12 in (5, 7):
             assert hits == 0  # non-residue primes admit no pair at all
         else:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from conftest import direct_square_sum
+from conftest import direct_square_sum, primes_below
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,10 +13,8 @@ from apsquares.obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
     PAdicSplit,
-    obstruction_witness,
     padic_split,
     residue_sieve,
-    square_sum_congruence_holds,
     trace_length3,
     valuation_law,
 )
@@ -57,57 +55,6 @@ def test_padic_split_domain_errors():
         padic_split(12, 4)
     with pytest.raises(ValueError):
         padic_split(12, 1)
-
-
-def test_congruence_pinned_values():
-    assert square_sum_congruence_holds(1, 12, 13)  # 6 - 72 + 144 == 6 * 13
-    assert not square_sum_congruence_holds(1, 1, 5)  # 6 - 6 + 1 == 1
-    assert square_sum_congruence_holds(1, 7, 13)  # 6 - 42 + 49 == 13
-
-
-def test_congruence_domain():
-    with pytest.raises(ValueError):
-        square_sum_congruence_holds(13, 1, 13)
-    with pytest.raises(ValueError):
-        square_sum_congruence_holds(1, 26, 13)
-    with pytest.raises(ValueError):
-        square_sum_congruence_holds(1, 1, 9)
-    with pytest.raises(ValueError):
-        square_sum_congruence_holds(1, 1, 3)
-
-
-def test_witness_pinned_values():
-    assert obstruction_witness(1, 12, 13).witness == 3  # (3 - 12)^2 == 81 == 3 (mod 13)
-    assert obstruction_witness(1, 1, 5).witness == 4  # (3 - 1)^2, congruence fails
-    report = obstruction_witness(2, 1, 13)
-    assert report.inverse == 7  # 2 * 7 == 14 == 1 (mod 13)
-    assert report.witness == 3  # (7 * 5)^2 == 1225 == 94 * 13 + 3
-
-
-def test_witness_residues_are_canonical():
-    report = obstruction_witness(14, 25, 13)
-    assert report.n_residue == 1 and report.d_residue == 12
-    assert report == obstruction_witness(1, 12, 13)
-
-
-def test_witness_exhaustive_soundness():
-    # Wherever the congruence holds, the witness exhibits 3 as a square.
-    for p in (5, 7, 11, 13, 17, 19, 23):
-        for nu in range(1, p):
-            for du in range(1, p):
-                report = obstruction_witness(nu, du, p)
-                assert report.n_residue * report.inverse % p == 1
-                if square_sum_congruence_holds(nu, du, p):
-                    assert report.witness == 3
-
-
-def test_congruence_unsatisfiable_for_non_residue_primes():
-    for p in QNR_PRIMES:
-        assert not any(
-            square_sum_congruence_holds(nu, du, p)
-            for nu in range(1, p)
-            for du in range(1, p)
-        )
 
 
 def test_valuation_law_pinned_values():
@@ -317,6 +264,13 @@ def test_residue_sieve_empty_iff_non_residue():
         for ratio in ratios:
             # admissible ratios are the roots of r^2 - 6r + 6 (mod p)
             assert (ratio * ratio - 6 * ratio + 6) % p == 0
+
+
+def test_residue_sieve_is_the_witness_identity():
+    # A unit ratio r = D/N is admissible exactly when the witness
+    # [N^-1 * (3N - D)]^2 = (3 - r)^2 is 3 mod p.
+    for p in primes_below(1000)[2:]:
+        assert residue_sieve(p) == {r for r in range(1, p) if (3 - r) ** 2 % p == 3}, p
 
 
 def test_residue_sieve_soundness_brute_force():

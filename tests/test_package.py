@@ -23,3 +23,37 @@ def test_standard_library_wrappers_are_not_exported():
     # Library code calls math.isqrt and pow(a, -1, p) directly.
     for name in ("isqrt", "is_perfect_square", "modpow", "modinv"):
         assert not hasattr(apsquares, name), name
+
+
+def test_the_public_names_are_exactly_these():
+    # With test_all_lists_exactly_the_public_names this pins the whole
+    # surface. The paper's congruence 6N^2 - 6ND + D^2 = 0 (mod p) is
+    # exported once, solved for D/N, as residue_sieve.
+    assert sorted(apsquares.__all__) == [
+        "APWindow",
+        "CheckpointMismatch",
+        "DETERMINISTIC_LIMIT",
+        "MOD3_QUOTIENT",
+        "PAdicSplit",
+        "PrimeProfile",
+        "SearchReport",
+        "SquareOutcome",
+        "TraceReport",
+        "VALUATION_PARITY",
+        "check_window_square",
+        "classify_prime_mod12",
+        "find_solutions",
+        "is_prime",
+        "jacobi",
+        "legendre_euler",
+        "padic_split",
+        "residue_sieve",
+        "sqrt_mod_prime",
+        "sum_first_k",
+        "sum_sq_first_k",
+        "trace_length3",
+        "valuation_law",
+        "verify_no_solutions",
+        "window_sum_sq_closed",
+        "window_sum_sq_direct",
+    ]

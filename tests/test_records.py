@@ -4,7 +4,6 @@ import pytest
 
 from apsquares import (
     APWindow,
-    ObstructionWitness,
     PAdicSplit,
     PrimeProfile,
     SearchReport,
@@ -30,7 +29,6 @@ RECORDS = [
             "details": {"valuation": 1},
         },
     ),
-    (ObstructionWitness, {"prime": 11, "n_residue": 1, "d_residue": 2, "inverse": 1, "witness": 1}),
     (
         SearchReport,
         {
