@@ -15,14 +15,12 @@ from .apsum import (
     sum_first_k,
     sum_sq_first_k,
     window_sum_sq_closed,
-    window_sum_sq_direct,
 )
 from .obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
     PAdicSplit,
     TraceReport,
-    padic_split,
     residue_sieve,
     trace_length3,
     valuation_law,
@@ -62,7 +60,6 @@ __all__ = [
     "is_prime",
     "jacobi",
     "legendre_euler",
-    "padic_split",
     "residue_sieve",
     "sqrt_mod_prime",
     "sum_first_k",
@@ -71,5 +68,4 @@ __all__ = [
     "valuation_law",
     "verify_no_solutions",
     "window_sum_sq_closed",
-    "window_sum_sq_direct",
 ]

@@ -6,8 +6,8 @@ progression. Its sum of squares has the closed form
     S = k*n^2 + k*(k-1)*n*d + [k*(k-1)*(2k-1)/6]*d^2
 
 a quadratic form in (n, d) with coefficients `window_form(k)`, which this
-module evaluates exactly alongside the term-by-term sum, plus the
-decision of whether S is a perfect square.
+module evaluates exactly, plus the decision of whether S is a perfect
+square.
 """
 
 from __future__ import annotations
@@ -60,12 +60,6 @@ def sum_sq_first_k(k: int) -> int:
     return k * (k + 1) * (2 * k + 1) // 6
 
 
-def window_sum_sq_direct(window: APWindow) -> int:
-    """Sum of squared terms, evaluated term by term."""
-    n, d, k = window.n, window.d, window.k
-    return sum((n + i * d) ** 2 for i in range(k))
-
-
 def window_form(k: int) -> tuple[int, int, int]:
     """The coefficients (a, b, c) of S(n, d, k) = a*n^2 + b*n*d + c*d^2."""
     # k(k-1)(2k-1) is always divisible by 6: k(k-1) is even, and one of
@@ -74,7 +68,7 @@ def window_form(k: int) -> tuple[int, int, int]:
 
 
 def window_sum_sq_closed(window: APWindow) -> int:
-    """Sum of squared terms via the closed form; equals the direct sum."""
+    """Sum of squared terms, sum((n + i*d)^2 for i < k), via the closed form."""
     n, d, k = window
     a, b, c = window_form(k)
     return (a * n + b * d) * n + c * d * d

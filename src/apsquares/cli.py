@@ -139,20 +139,17 @@ def render_json(payload: dict[str, object]) -> str:
     return _json(payload) + "\n"
 
 
-def render_csv(header: list[str], rows: list[list[object]]) -> str:
-    # Every cell is an int, None or an obstruction name, so none needs quoting.
-    return "".join(
-        ",".join("" if item is None else str(item) for item in row) + "\n" for row in [header, *rows]
-    )
-
-
 def render(output: _Output, columns: str, fmt: str) -> str:
     if fmt == "json":
         return render_json(output.payload)
     if fmt == "csv":
         header = columns.split(",")
         rows = output.rows if output.rows is not None else [[output.payload[c] for c in header]]
-        return render_csv(header, rows)
+        # Every cell is an int, None or an obstruction name, so none needs quoting.
+        return "".join(
+            ",".join("" if item is None else str(item) for item in row) + "\n"
+            for row in [header, *rows]
+        )
     return output.text + "\n"
 
 

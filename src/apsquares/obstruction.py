@@ -37,22 +37,9 @@ class PAdicSplit(namedtuple("PAdicSplit", "base valuation unit")):
 
     __slots__ = ()
 
-    def value(self) -> int:
-        """Reconstruct the split integer exactly."""
-        return self.base**self.valuation * self.unit
-
-
-def padic_split(x: int, p: int) -> PAdicSplit:
-    """Split x >= 1 as p**v * unit with p not dividing unit."""
-    if x < 1:
-        raise ValueError("p-adic split is only defined for positive integers")
-    if not is_prime(p):
-        raise ValueError(f"p-adic split requires a prime base, got {p}")
-    return _split(x, p)
-
 
 def _split(x: int, p: int) -> PAdicSplit:
-    """padic_split for x >= 1 and a prime p the caller has already checked."""
+    """Split x >= 1 as p**v * unit, for a prime p the caller has already checked."""
     v = 0
     while not x % p:
         x //= p

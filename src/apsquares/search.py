@@ -22,11 +22,15 @@ a square mod m. The kernel
 ANDs these tiles into a selector and walks its set bits lowest first, so
 it visits only the cells that survive (about 0.2-1%); they alone have S
 evaluated and an exact `math.isqrt` taken. A modulus sharing a factor
-with k is never used: for length p the mod-p test is the nonexistence
-theorem itself (it rejects every length-5 cell), so `verify` would
-assume what it checks. A length sharing a prime with every modulus has
-no selector; its lines keep every cell. Lines longer than a block of
-4096 cells are selected block by block, so the tables stay bounded.
+with k is never used, so `verify` never assumes what it checks. The bar
+binds at length 3: there the tile at 9 would keep exactly the cells
+with 3 | n and 3 | d, which is the length-3 theorem's 3-adic step. For
+a prime length p >= 5 the tile at p would keep every cell, as p divides
+every coefficient of `window_form(p)` and so S = 0 (mod p); that
+theorem is a statement about higher powers of p. A length sharing a
+prime with every modulus has no selector; its lines keep every cell.
+Lines longer than a block of 4096 cells are selected block by block, so
+the tables stay bounded.
 
 The sieve applies to prime k >= 5. Its one value, `residue_sieve(k)`,
 holds the admissible ratios d/n mod k; a cell is decided when k | d or
@@ -97,8 +101,10 @@ def _validate_bounds(n_max: int, d_max: int) -> None:
         raise ValueError(f"search bounds must be positive, got n_max={n_max}, d_max={d_max}")
 
 
-# Residue-selector moduli; those sharing a factor with k are skipped
-# (see the module docstring).
+# Residue-selector moduli; those sharing a factor with k are skipped. For
+# k = 3 the tile at 9 would keep only 3 | n and 3 | d, the length-3
+# theorem's 3-adic step; for a prime k >= 5 the tile at k would keep every
+# cell, as k divides every coefficient of the form (see the module docstring).
 _MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23)
 # Cells per selector block; longer lines are scanned block by block.
 _BLOCK = 4096

@@ -14,7 +14,6 @@ from apsquares.apsum import APWindow, window_sum_sq_closed
 from apsquares.obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
-    padic_split,
     residue_sieve,
     trace_length3,
 )
@@ -73,19 +72,17 @@ def test_c03_valuation_law_with_negative_control():
     windows = 0
     for p in (5, 7, 17, 19):
         for d in range(1, 161):
-            f = padic_split(d, p).valuation
+            f = _vp(d, p)
             for n in range(1, 161):
-                w = APWindow(n, d, p)
-                v = padic_split(6 * window_sum_sq_closed(w), p).valuation
-                e = padic_split(n, p).valuation
-                assert v == 2 * min(e, f) + 1
+                v = _vp(6 * window_sum_sq_closed(APWindow(n, d, p)), p)
+                assert v == 2 * min(_vp(n, p), f) + 1
                 windows += 1
     assert windows == 4 * 160 * 160  # 102400 windows, p-divisible n and d included
     # designated negative control: p = 11 has 3 as a residue and (18, 1, 11)
     # sums to 77^2, so v_11(6 S) is even instead
     total = direct_square_sum(18, 1, 11)
     assert total == 77**2
-    assert padic_split(6 * total, 11).valuation == 2
+    assert _vp(6 * total, 11) == 2
     _announce(3, started, f"v_p(6S) = 2 min(e,f)+1 on {windows} windows; control (18,1,11) has v=2")
 
 

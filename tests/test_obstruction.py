@@ -13,7 +13,6 @@ from apsquares.obstruction import (
     MOD3_QUOTIENT,
     VALUATION_PARITY,
     PAdicSplit,
-    padic_split,
     residue_sieve,
     trace_length3,
     valuation_law,
@@ -31,30 +30,10 @@ def _vp(x: int, p: int) -> int:
     return v
 
 
-def test_padic_split_pinned_values():
-    assert padic_split(18, 3) == PAdicSplit(base=3, valuation=2, unit=2)
-    assert padic_split(7, 5) == PAdicSplit(base=5, valuation=0, unit=7)
-    assert padic_split(126, 3) == PAdicSplit(base=3, valuation=2, unit=14)
-
-
-def test_padic_split_round_trip():
-    for p in (3, 5, 7, 11, 13):
-        for x in range(1, 10_001):
-            split = padic_split(x, p)
-            assert split.value() == x
-            assert split.unit % p != 0
-            assert split.base == p and split.valuation >= 0
-
-
-def test_padic_split_domain_errors():
-    with pytest.raises(ValueError):
-        padic_split(0, 3)  # valuation of 0 is rejected, not infinity
-    with pytest.raises(ValueError):
-        padic_split(-9, 3)
-    with pytest.raises(ValueError):
-        padic_split(12, 4)
-    with pytest.raises(ValueError):
-        padic_split(12, 1)
+def _split_oracle(x: int, p: int) -> PAdicSplit:
+    # x = p^v * unit, built on _vp rather than the traces' own split.
+    v = _vp(x, p)
+    return PAdicSplit(base=p, valuation=v, unit=x // p**v)
 
 
 def test_valuation_law_pinned_values():
@@ -159,7 +138,7 @@ def test_trace_length3_total_on_grid():
 
 def test_traces_check_the_prime_at_most_once(monkeypatch):
     # Every module binding of is_prime is counted, so a validation
-    # reached through padic_split or legendre_euler shows up too. verify
+    # reached through a helper such as legendre_euler shows up too. verify
     # checks its length as a trace does.
     calls = []
     real = residues.is_prime
@@ -204,8 +183,8 @@ def _expanded_square_sum(n: int, d: int, k: int) -> int:
 def test_trace_matches_oracles_on_big_windows(k, e, f, u, w):
     n, d = k**e * u, k**f * w
     report = trace_length3(APWindow(n, d, k)) if k == 3 else valuation_law(APWindow(n, d, k))
-    assert report.n_split == padic_split(n, k)
-    assert report.d_split == padic_split(d, k)
+    assert report.n_split == _split_oracle(n, k)
+    assert report.d_split == _split_oracle(d, k)
     total = _expanded_square_sum(n, d, k)
     if k < 100:
         assert total == direct_square_sum(n, d, k)
@@ -229,8 +208,6 @@ def test_domain_error_messages_are_pinned():
             lambda: trace_length3(APWindow(1, 1, 5)),
             "trace_length3 requires a window of length 3, got 5",
         ),
-        (lambda: padic_split(0, 5), "p-adic split is only defined for positive integers"),
-        (lambda: padic_split(8, 4), "p-adic split requires a prime base, got 4"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as info:
@@ -361,8 +338,8 @@ def test_valuation_law_matches_oracles_above_two_to_the_64(k, e, f, u, w):
     assert type(report.n_split) is obstruction.PAdicSplit
     assert type(report.d_split) is obstruction.PAdicSplit
     assert report.window == (n, d, k) and report.prime == k
-    assert report.n_split == padic_split(n, k)
-    assert report.d_split == padic_split(d, k)
+    assert report.n_split == _split_oracle(n, k)
+    assert report.d_split == _split_oracle(d, k)
     assert report.obstruction == VALUATION_PARITY
     total = _expanded_square_sum(n, d, k)
     min_exp = min(_vp(n, k), _vp(d, k))

@@ -620,7 +620,9 @@ def test_scans_with_the_visited_tiles_match_scans_with_the_full_tables(lines, mo
 
 def test_verify_filter_never_uses_the_length_as_modulus(monkeypatch):
     # A filter modulus sharing a factor with p would let verify assume
-    # the nonexistence result it is meant to test.
+    # the nonexistence result it is meant to test. It matters at p = 3,
+    # where the tile at 9 keeps only 3 | n and 3 | d, the length-3
+    # theorem's 3-adic step; for p >= 5 the tile at p keeps every cell.
     used = []
     real_scan_row = search._scan_row
 
@@ -711,7 +713,8 @@ def test_column_tables_match_residue_enumeration(k):
 
 def test_column_filter_never_uses_the_length_as_modulus(monkeypatch):
     # The tall-grid companion of the row test: verify's columns, too,
-    # never filter by a modulus sharing a factor with p.
+    # never filter by a modulus sharing a factor with p, which matters at
+    # p = 3 (the tile at 9 is the 3-adic step) and not for p >= 5.
     used = []
     real_scan_row = search._scan_row
 
