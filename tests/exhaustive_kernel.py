@@ -3,14 +3,16 @@
 For every window length k in 2..64 and every prime k up to 200, on the
 grids 150 x 150 (rows), 5 x 3000 (columns), 3000 x 5 (rows) and
 2 x 9000 (columns crossing two selector blocks), `find_solutions` with
-and without the sieve must list exactly the cells whose `window_form`
-value is a perfect square by `math.isqrt`, and wherever that oracle finds a
-window, the local-solubility oracle `failing_primes(k)` of
-`tests/test_solubility.py` must name no prime: an insoluble length has no
-square window on any of the grids. For 3 and every prime
-p = 5, 7 (mod 12) up to 200, `verify_no_solutions` must find nothing,
-decide every cell and return a report equal to the unsieved
-`find_solutions` report of that length on that grid. For every prime
+and without the sieve must list exactly the cells whose window sum
+a*n^2 + b*n*d + c*d^2 is a perfect square by `math.isqrt`, with
+a = k, b = 2*(0 + 1 + ... + (k-1)) and c = 0^2 + 1^2 + ... + (k-1)^2
+summed term by term rather than taken from the library's `window_form`.
+Wherever that oracle finds a window, the local-solubility oracle
+`failing_primes(k)` of `tests/test_solubility.py` must name no prime:
+an insoluble length has no square window on any of the grids. For 3
+and every prime p = 5, 7 (mod 12) up to 200, `verify_no_solutions` must
+find nothing, decide every cell and return a report equal to the
+unsieved `find_solutions` report of that length on that grid. For every prime
 5 <= k <= 200, the sieved `windows_checked` must equal a count over
 residue pairs (a, b) mod k: the n = a and d = b classes' sizes
 multiplied, summed over the pairs
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import sys
 
-from apsquares.apsum import APWindow, window_form
+from apsquares.apsum import APWindow
 from apsquares.obstruction import residue_sieve, trace_length3, valuation_law
 from apsquares.search import find_solutions, verify_no_solutions
 # The script's own directory, tests/, is first on sys.path.
@@ -54,7 +56,8 @@ TRACED = 60
 
 
 def oracle(k: int, n_max: int, d_max: int) -> tuple[tuple[int, int, int], ...]:
-    a, b, c = window_form(k)
+    # S = sum of (n + i*d)^2 over i < k, expanded term by term, not read from window_form.
+    a, b, c = k, 2 * sum(range(k)), sum(i * i for i in range(k))
     found = []
     for d in range(1, d_max + 1):
         for n in range(1, n_max + 1):

@@ -238,44 +238,36 @@ def test_sqrtmod_non_residue_reports_null_roots():
     assert proc.stdout == "a,p,root_small,root_large\n3,5,,\n"
 
 
-def test_exit_code_2_on_domain_error_with_error_record():
-    proc = run_cli("classify", "--p", "9")
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["classify", "--p", "9"], "prime >= 5"),
+        (["frobnicate"], "frobnicate"),
+        (["classify", "--p", "seven"], "invalid int value"),
+        (["check", "--n", "1", "--d", "0", "--k", "3"], "difference"),
+        (["trace", "--n", "18", "--d", "1", "--k", "11"], "residue"),
+        (["verify", "--p", "13", "--max-n", "5", "--max-d", "5"], "residue"),
+        (["classify", "--p", str(3_317_044_064_679_887_385_961_981)], "deterministic"),
+    ],
+    ids=[
+        "composite-prime",
+        "unknown-command",
+        "non-integer",
+        "zero-difference",
+        "trace-residue-prime",
+        "verify-residue-prime",
+        "beyond-deterministic",
+    ],
+)
+def test_refusal_is_exit_2_with_one_error_record(argv, fragment):
+    proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    record = json.loads(proc.stderr.strip())
-    assert "error" in record
-
-
-def test_exit_code_2_on_usage_errors():
-    assert run_cli("frobnicate").returncode == 2
-    proc = run_cli("classify", "--p", "seven")
-    assert proc.returncode == 2
-    record = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert "error" in record
-
-
-def test_exit_code_2_on_window_domain_error():
-    proc = run_cli("check", "--n", "1", "--d", "0", "--k", "3")
-    assert proc.returncode == 2
-    assert "difference" in json.loads(proc.stderr.strip())["error"]
-
-
-def test_trace_rejects_residue_prime_length():
-    proc = run_cli("trace", "--n", "18", "--d", "1", "--k", "11")
-    assert proc.returncode == 2
-    assert "residue" in json.loads(proc.stderr.strip())["error"]
-
-
-def test_verify_rejects_residue_prime():
-    proc = run_cli("verify", "--p", "13", "--max-n", "5", "--max-d", "5")
-    assert proc.returncode == 2
-
-
-def test_prime_parameters_beyond_deterministic_range_rejected():
-    huge = str(3_317_044_064_679_887_385_961_981)
-    proc = run_cli("classify", "--p", huge)
-    assert proc.returncode == 2
-    assert "deterministic" in json.loads(proc.stderr.strip())["error"]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert isinstance(record, dict) and list(record) == ["error"]
+    assert fragment in record["error"]
 
 
 @pytest.mark.parametrize("value", ["csv", "text", "xml", ""])
