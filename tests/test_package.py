@@ -14,23 +14,14 @@ def test_all_lists_exactly_the_public_names():
     assert set(apsquares.__all__) == public
 
 
-def test_every_listed_name_resolves():
-    missing = [name for name in apsquares.__all__ if not hasattr(apsquares, name)]
-    assert not missing, missing
-
-
-def test_standard_library_wrappers_are_not_exported():
-    # Library code calls math.isqrt and pow(a, -1, p) directly.
-    for name in ("isqrt", "is_perfect_square", "modpow", "modinv"):
-        assert not hasattr(apsquares, name), name
-
-
 def test_the_public_names_are_exactly_these():
     # With test_all_lists_exactly_the_public_names this pins the whole
-    # surface. The paper's congruence 6N^2 - 6ND + D^2 = 0 (mod p) is
-    # exported once, solved for D/N, as residue_sieve. The window sum
-    # and the p-adic split have one spelling each; their term-by-term and
-    # repeated-division oracles live in the tests.
+    # surface: every listed name resolves, and no other public name, such
+    # as a wrapper of math.isqrt or pow, is exported. The paper's
+    # congruence 6N^2 - 6ND + D^2 = 0 (mod p) is exported once, solved for
+    # D/N, as residue_sieve. The window sum and the p-adic split have one
+    # spelling each; their term-by-term and repeated-division oracles live
+    # in tests/conftest.py.
     assert sorted(apsquares.__all__) == [
         "APWindow",
         "CheckpointMismatch",

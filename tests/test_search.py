@@ -75,13 +75,6 @@ def test_verify_accepts_exactly_the_traceable_lengths():
             assert refused == bool(residue_sieve(p)), p
 
 
-def test_find_pinned_solutions():
-    assert (18, 1, 77) in find_solutions(11, 50, 1).solutions
-    assert (7, 1, 92) in find_solutions(23, 50, 1).solutions
-    assert (1, 1, 70) in find_solutions(24, 5, 1).solutions
-    assert (3, 1, 5) in find_solutions(2, 10, 1).solutions  # 3,4 -> 5
-
-
 def test_find_matches_brute_force():
     for k in (2, 3, 11, 24):
         report = find_solutions(k, 60, 40)
@@ -103,15 +96,6 @@ def test_solutions_sorted_by_d_then_n():
     for use_sieve in (False, True):
         sols = find_solutions(11, 200, 200, use_sieve=use_sieve).solutions
         assert list(sols) == sorted(sols, key=lambda s: (s[1], s[0]))
-
-
-def test_sieve_lossless_and_cheaper():
-    for k in (11, 13, 23):
-        plain = find_solutions(k, 200, 200, use_sieve=False)
-        sieved = find_solutions(k, 200, 200, use_sieve=True)
-        assert sieved.solutions == plain.solutions
-        assert sieved.sieve_used and not plain.sieve_used
-        assert sieved.windows_checked < plain.windows_checked == 200 * 200
 
 
 def test_sieve_matches_brute_force_oracle():
@@ -683,22 +667,18 @@ def test_rows_and_columns_agree(k, tmp_path, monkeypatch):
             assert columns.windows_checked == rows.windows_checked
 
 
+@pytest.mark.parametrize("n_max,d_max", [(10, 400), (20, 300)])
 @pytest.mark.parametrize("p", [3, 5, 7, 17])
-def test_verify_tall_grid_same_with_and_without_checkpoint(p, tmp_path):
-    rows = verify_no_solutions(p, 10, 400, checkpoint=str(tmp_path / "tall.ckpt"))
-    columns = verify_no_solutions(p, 10, 400)
-    assert columns.solutions == rows.solutions == ()
-    assert columns.windows_checked == rows.windows_checked == 4000
-
-
-def test_verify_report_is_the_same_scanned_by_rows_or_by_columns(tmp_path):
-    # The checkpointed run scans 300 rows and the other 20 columns; the
-    # report names neither the checkpoint nor the grid, so the two are
-    # equal, down to their hashes.
-    rows = verify_no_solutions(5, 20, 300, checkpoint=str(tmp_path / "rows.ckpt"))
-    columns = verify_no_solutions(5, 20, 300)
+def test_verify_report_is_the_same_scanned_by_rows_or_by_columns(p, n_max, d_max, tmp_path):
+    # The checkpointed run scans the d_max rows and the other the n_max
+    # columns; the report names neither the checkpoint nor the grid, so
+    # the two are equal, down to their hashes.
+    rows = verify_no_solutions(p, n_max, d_max, checkpoint=str(tmp_path / "rows.ckpt"))
+    columns = verify_no_solutions(p, n_max, d_max)
     assert rows == columns
     assert hash(rows) == hash(columns)
+    assert rows.solutions == ()
+    assert rows.windows_checked == n_max * d_max
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])

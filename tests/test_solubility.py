@@ -31,6 +31,7 @@ square window, and a soluble one has one.
 """
 
 import pytest
+from conftest import split
 
 from apsquares.apsum import APWindow, check_window_square
 from apsquares.search import find_solutions
@@ -48,15 +49,6 @@ def _prime_factors(n):
     return factors | {n} if n > 1 else factors
 
 
-def _split(a, q):
-    # a = q^e * u with q not dividing u.
-    e = 0
-    while a % q == 0:
-        a //= q
-        e += 1
-    return e, a
-
-
 def _legendre(u, q):
     # Euler's criterion, for an odd prime q not dividing u.
     return 1 if pow(u, (q - 1) // 2, q) == 1 else -1
@@ -64,8 +56,8 @@ def _legendre(u, q):
 
 def _hilbert(a, b, q):
     """The Hilbert symbol (a, b)_q of positive integers at the prime q (Serre, ch. III)."""
-    alpha, u = _split(a, q)
-    beta, v = _split(b, q)
+    alpha, u = split(a, q)
+    beta, v = split(b, q)
     if q == 2:
         # (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u)), with eps(x) = (x - 1)/2 and
         # omega(x) = (x^2 - 1)/8.
