@@ -10,8 +10,6 @@ module evaluates exactly, plus the decision of whether S is a perfect
 square.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Iterable
@@ -22,7 +20,7 @@ class APWindow(namedtuple("APWindow", "n d k")):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, d: int, k: int) -> APWindow:
+    def __new__(cls, n: int, d: int, k: int) -> "APWindow":
         if n < 1:
             raise ValueError(f"first term must be a positive integer, got {n}")
         if d < 1:
@@ -35,7 +33,7 @@ class APWindow(namedtuple("APWindow", "n d k")):
         return tuple.__new__(cls, (n, d, k))
 
     @classmethod
-    def _make(cls, iterable: Iterable[int]) -> APWindow:
+    def _make(cls, iterable: Iterable[int]) -> "APWindow":
         # namedtuple's own `_make`, which `_replace` calls, would skip the checks.
         return cls(*iterable)
 

@@ -37,8 +37,6 @@ objects the run left: about 6 ms of a 60 ms 1000² `verify` under
 CPython 3.11 on one CPU of a 2-CPU Xeon host.
 """
 
-from __future__ import annotations
-
 import _signal
 import errno
 import gc

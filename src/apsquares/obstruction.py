@@ -18,8 +18,6 @@ quotient mod p; only a violation counts the true valuation. Records are
 built positionally, past namedtuple's keyword `__new__`.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .apsum import APWindow, window_sum_sq_closed

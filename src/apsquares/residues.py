@@ -11,8 +11,6 @@ least strong pseudoprime to them (Sorenson & Webster 2017). Below
 DETERMINISTIC_LIMIT every verdict is exact; at or beyond it the 14 bases
 2..43 give a probable-prime verdict."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import inf, isqrt
 

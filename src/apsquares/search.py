@@ -60,8 +60,6 @@ a SIGKILL loses at most about the last second of rows, which a resumed
 run scans again.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import stat

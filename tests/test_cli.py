@@ -175,15 +175,15 @@ def test_big_integers_render_as_decimal_strings():
 
 
 _JSON_SAFE_MAX = 2**53 - 1
-# Quotes, backslashes, every control character, DEL, printable ASCII, non-ASCII BMP and astral
-# characters, and lone surrogates, which argv holds for bytes that are not UTF-8.
+# One of each kind of character the renderer treats apart: a quote, a backslash, each named
+# escape, other controls, printable ASCII, DEL, non-ASCII, astral characters, and both ends of
+# the lone surrogates, which argv holds for bytes that are not UTF-8. Every code point is
+# checked once, by test_json_string_escapes_every_code_point_as_json_dumps_does.
 _JSON_TEXT = st.text(
-    st.one_of(
-        st.sampled_from(['"', "\\", "\x7f", *map(chr, range(0x20))]),
-        st.characters(max_codepoint=0x7E),
-        st.characters(min_codepoint=0x80),
-        st.characters(categories=["Cs"]),
-    ),
+    st.sampled_from([
+        '"', "\\", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", " ", "a", "\x7f", "\x80", "é",
+        "\u2028", "\uffff", "\U0001f600", "\ud800", "\udfff",
+    ]),
     max_size=12,
 )
 # Any int, and the ints on both sides of +-(2^53 - 1).
@@ -214,12 +214,23 @@ def _json_oracle(value):
     return [_json_oracle(item) for item in value]
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5), _JSON_TEXT)
-def test_render_json_writes_what_json_dumps_writes(payload, text):
+def test_json_string_escapes_every_code_point_as_json_dumps_does():
+    text = "".join(map(chr, range(0x110000)))
+    if cli._json_string(text) != json.dumps(text):
+        # The first code point rendered wrong, not a diff of two 7-million-character strings.
+        wrong = next(char for char in text if cli._json_string(char) != json.dumps(char))
+        pytest.fail(f"U+{ord(wrong):04X}: {cli._json_string(wrong)} != {json.dumps(wrong)}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5))
+@example({"max": _JSON_SAFE_MAX, "min": -_JSON_SAFE_MAX, "over": 2**53, "under": -(2**53)})
+@example({"bools": [True, 1, False, 0], "true": True, "one": 1, "false": False, "zero": 0})
+@example({"empty": [[], (), {}], "nested": (1, ((), ("a", (None,))))})
+@example({"b": {"d": 0, "c": 1}, "a": None, '"\\\b\x7f\ud800\U0001f600': "escaped key"})
+def test_render_json_writes_what_json_dumps_writes(payload):
     expected = json.dumps(_json_oracle(payload), sort_keys=True, separators=(",", ":")) + "\n"
     assert cli.render_json(payload) == expected
-    assert cli._json_string(text) == json.dumps(text)
 
 
 def test_render_json_refuses_what_json_dumps_refuses():
@@ -894,7 +905,7 @@ def test_cli_imports_none_of_the_standard_modules_it_avoids():
     # Without `site`, as on a clean interpreter: nothing else has loaded them.
     avoided = {
         "argparse", "dataclasses", "enum", "gettext", "inspect", "json", "locale", "re",
-        "signal", "threading", "typing",
+        "signal", "threading", "typing", "__future__",
     }
     probe = f"import sys, apsquares.cli; print(sorted({avoided!r} & set(sys.modules)))"
     proc = subprocess.run(
