@@ -9,9 +9,10 @@ consumers stay exact. `render_json` writes it by hand, byte for byte as
 `json.dumps(..., sort_keys=True, separators=(",", ":"))` would, so a
 child never imports `json`, nor the `re` and `enum` that `json` imports.
 Exit codes: 0 success, 1 only when verify finds a counterexample, 2 for
-usage or domain errors, for a checkpoint file that cannot be opened,
-read or written, and for a stdout that cannot be written (such as a
-closed pipe), 3 for a failed internal check or any other unexpected
+usage or domain errors (among them a prime parameter at or beyond
+DETERMINISTIC_LIMIT, which `residues.is_prime` refuses), for a checkpoint
+file that cannot be opened, read or written, and for a stdout that cannot
+be written (such as a closed pipe), 3 for a failed internal check or any other unexpected
 error, which the record names, 130 when interrupted, 143 when terminated
 by SIGTERM. A Ctrl-C or SIGTERM during the error record's own write
 keeps the code already chosen; the record may be lost.
@@ -49,7 +50,7 @@ from types import SimpleNamespace
 
 from .apsum import APWindow, check_window_square, sum_first_k, sum_sq_first_k
 from .obstruction import trace_length3, valuation_law
-from .residues import DETERMINISTIC_LIMIT, classify_prime_mod12, legendre_euler, sqrt_mod_prime
+from .residues import classify_prime_mod12, legendre_euler, sqrt_mod_prime
 from .search import SearchReport, find_solutions, verify_no_solutions
 
 _FORMATS = ("json", "csv", "text")
@@ -151,17 +152,8 @@ def render(output: _Output, columns: str, fmt: str) -> str:
     return output.text + "\n"
 
 
-def _checked_prime_param(value: int, flag: str) -> int:
-    if value >= DETERMINISTIC_LIMIT:
-        raise ValueError(
-            f"{flag}={value} is beyond the deterministic primality range "
-            f"(< {DETERMINISTIC_LIMIT})"
-        )
-    return value
-
-
 def _classify(args: SimpleNamespace) -> _Output:
-    profile = classify_prime_mod12(_checked_prime_param(args.p, "--p"))
+    profile = classify_prime_mod12(args.p)
     kind = "residue" if profile.legendre3 == 1 else "non-residue"
     payload = {"p": args.p, "mod12": profile.residue_mod_12, "legendre3": profile.legendre3}
     text = f"p = {args.p}: p mod 12 = {profile.residue_mod_12}, 3 is a quadratic {kind} of p"
@@ -169,13 +161,13 @@ def _classify(args: SimpleNamespace) -> _Output:
 
 
 def _legendre(args: SimpleNamespace) -> _Output:
-    symbol = legendre_euler(args.a, _checked_prime_param(args.p, "--p"))
+    symbol = legendre_euler(args.a, args.p)
     text = f"({args.a} / {args.p}) = {symbol}"
     return _Output({"a": args.a, "p": args.p, "symbol": symbol}, text)
 
 
 def _sqrtmod(args: SimpleNamespace) -> _Output:
-    roots = sqrt_mod_prime(args.a, _checked_prime_param(args.p, "--p"))
+    roots = sqrt_mod_prime(args.a, args.p)
     if roots is None:
         text = f"x^2 = {args.a} (mod {args.p}) has no solution"
     else:
@@ -206,7 +198,7 @@ def _check(args: SimpleNamespace) -> _Output:
 
 
 def _trace(args: SimpleNamespace) -> _Output:
-    window = APWindow(n=args.n, d=args.d, k=_checked_prime_param(args.k, "--k"))
+    window = APWindow(n=args.n, d=args.d, k=args.k)
     report = trace_length3(window) if window.k == 3 else valuation_law(window)
     payload = {
         **window._asdict(),
@@ -245,32 +237,29 @@ def _grid_output(
 
 
 def _verify(args: SimpleNamespace) -> _Output:
-    p = _checked_prime_param(args.p, "--p")
-    report = verify_no_solutions(p, args.max_n, args.max_d, checkpoint=args.checkpoint)
+    report = verify_no_solutions(args.p, args.max_n, args.max_d, checkpoint=args.checkpoint)
     if report.solutions:
         text = (
             f"COUNTEREXAMPLE: {len(report.solutions)} square window(s) of "
-            f"length {p} found; this falsifies the nonexistence result"
+            f"length {args.p} found; this falsifies the nonexistence result"
         )
     else:
         text = (
-            f"p = {p}: no square windows for n <= {args.max_n}, "
+            f"p = {args.p}: no square windows for n <= {args.max_n}, "
             f"d <= {args.max_d} ({report.windows_checked} windows checked)"
         )
-    return _grid_output(args, report, p, text, 1 if report.solutions else 0, p=p)
+    return _grid_output(args, report, args.p, text, 1 if report.solutions else 0, p=args.p)
 
 
 def _search(args: SimpleNamespace) -> _Output:
-    # Only the sieve asks whether k is prime.
-    k = _checked_prime_param(args.k, "--k") if args.sieve else args.k
-    report = find_solutions(k, args.max_n, args.max_d, use_sieve=args.sieve)
+    report = find_solutions(args.k, args.max_n, args.max_d, use_sieve=args.sieve)
     sieved = ", sieved" if report.sieve_used else ""
     lines = [
-        f"k = {k}: {len(report.solutions)} square window(s) for n <= {args.max_n}, "
+        f"k = {args.k}: {len(report.solutions)} square window(s) for n <= {args.max_n}, "
         f"d <= {args.max_d} ({report.windows_checked} windows checked{sieved})"
     ]
     lines.extend(f"  n={n} d={d} t={t}" for (n, d, t) in report.solutions)
-    return _grid_output(args, report, k, "\n".join(lines), k=k, sieve=report.sieve_used)
+    return _grid_output(args, report, args.k, "\n".join(lines), k=args.k, sieve=report.sieve_used)
 
 
 # `columns` is the CSV header, and `run` the handler. `flags` maps a flag to its help and its

@@ -7,22 +7,22 @@ primality testing.
 Lucas test, which no composite below 2^64 passes with it (Baillie &
 Wagstaff 1980; Baillie, Fiori & Wagstaff 2021). From 2^64 on it runs the
 strong test to the first 12 or 13 prime bases, exact below psi_t, the
-least strong pseudoprime to them (Sorenson & Webster 2017). Below
-DETERMINISTIC_LIMIT every verdict is exact; at or beyond it the 14 bases
-2..43 give a probable-prime verdict."""
+least strong pseudoprime to them (Sorenson & Webster 2017). So it decides
+every n below DETERMINISTIC_LIMIT exactly and refuses every n at or
+beyond it with ValueError: it never gives a probable-prime verdict, and
+every gate that asks it refuses those n too."""
 
 from collections import namedtuple
-from math import inf, isqrt
+from math import isqrt
 
+# The trial divisors, and the strong-test bases: each row of
+# `_WITNESS_TIERS` is a prefix.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# The strong-test bases: each row of `_WITNESS_TIERS` is a prefix.
-_PRIME_BASES = (*_SMALL_PRIMES, 43)
 
 # psi_13: the least strong pseudoprime to all 13 bases 2..41
 # (1287836182261 * 2575672364521; Sorenson & Webster). Every n below it
-# is decided exactly by those bases. Base 43 rejects psi_13 itself, so
-# is_prime runs it too at and beyond this bound, where the verdict is
-# strong probable prime rather than proof.
+# is decided exactly by those bases; is_prime refuses every n from it on,
+# psi_13 included, since no proven base set reaches beyond it.
 DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 # Below it the strong test to base 2 plus `_extra_strong_lucas` (BPSW) is
@@ -32,14 +32,13 @@ _BPSW_LIMIT = 2**64
 
 # (bound, bases): base 2 together with `_extra_strong_lucas` decides every
 # n < 2^64; above it the first t prime bases decide every n < psi_t exactly
-# (OEIS A014233). The last row has no bound: from DETERMINISTIC_LIMIT on,
-# the 14 bases 2..43 give a probable-prime verdict, not a proof. Every n
-# that reaches the bases is at least 43^2, so no base needs reducing mod n.
+# (OEIS A014233). The last row ends at DETERMINISTIC_LIMIT, where is_prime
+# stops deciding. Every n that reaches the bases is at least 43^2, so no
+# base needs reducing mod n.
 _WITNESS_TIERS = (
-    (_BPSW_LIMIT, _PRIME_BASES[:1]),
-    (318_665_857_834_031_151_167_461, _PRIME_BASES[:12]),
-    (DETERMINISTIC_LIMIT, _PRIME_BASES[:13]),
-    (inf, _PRIME_BASES),
+    (_BPSW_LIMIT, _SMALL_PRIMES[:1]),
+    (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
+    (DETERMINISTIC_LIMIT, _SMALL_PRIMES),
 )
 
 
@@ -56,12 +55,16 @@ def is_prime(n: int) -> bool:
     Exact for all n < DETERMINISTIC_LIMIT (about 3.3e24): n < 43^2 needs
     no base, and otherwise each band of `_WITNESS_TIERS` has its own set:
     BPSW (base 2, then the extra strong Lucas test) below 2^64, the first
-    12 or 13 prime bases up to psi_t above. Inputs at or beyond the limit
-    fall in the table's last, unbounded row, whose 14 bases 2..43 give a
-    strong probable-prime verdict.
+    12 or 13 prime bases up to psi_t above. Raises ValueError for every n
+    at or beyond the limit, where no proven base set exists, rather than
+    give a probable-prime verdict.
     """
     if n < 2:
         return False
+    if n >= DETERMINISTIC_LIMIT:
+        raise ValueError(
+            f"{n} is beyond the deterministic primality range (< {DETERMINISTIC_LIMIT})"
+        )
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

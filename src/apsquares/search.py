@@ -371,7 +371,9 @@ def find_solutions(
 ) -> SearchReport:
     """Every (n, d, t) in range with S(n, d, k) = t^2, ascending in (d, n).
 
-    The sieve is applied only for prime k >= 5. Every cell with k | d is
+    The sieve is applied only for prime k >= 5; a k that `is_prime`
+    refuses, at or beyond DETERMINISTIC_LIMIT, is refused with it, while
+    an unsieved scan takes any k >= 2. Every cell with k | d is
     decided; every other cell only when its ratio d/n mod k is admissible
     (never when 3 is a non-residue of k). The solutions are identical
     with and without the sieve; `windows_checked` counts the cells the

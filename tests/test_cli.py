@@ -138,7 +138,7 @@ def test_search_json_payload():
 def test_search_k_checked_for_primality_only_with_sieve():
     # An even k past the deterministic range: without the sieve no
     # primality verdict is used, so it is not refused.
-    argv = ("search", "--k", str(cli.DETERMINISTIC_LIMIT + 1), "--max-n", "3", "--max-d", "3")
+    argv = ("search", "--k", str(residues.DETERMINISTIC_LIMIT + 1), "--max-n", "3", "--max-d", "3")
     plain = run_cli(*argv)
     assert plain.returncode == 0, plain.stderr
     assert '"windows":9' in plain.stdout
@@ -1223,7 +1223,7 @@ def test_oversized_error_records_are_capped(tmp_path):
     cases = (
         (resume, "malformed checkpoint line", "'"),
         (check, "argument --n: invalid int value", "'"),
-        (huge_p, "--p=", "deterministic"),
+        (huge_p, "1000", "deterministic"),
     )
     for argv, head, tail in cases:
         proc = run_cli(*argv)

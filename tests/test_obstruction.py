@@ -227,14 +227,20 @@ def test_residue_sieve_soundness_brute_force():
 def test_valuation_law_refuses_every_strong_pseudoprime_psi():
     # Each psi_t passes the first t prime bases; five are 7 (mod 12), so
     # the mod-12 gate alone would let them through, and psi_12, psi_13
-    # lie above 2^64.
+    # lie above 2^64. psi_13 is the limit, which is_prime itself refuses.
     from test_residues import _PSI
 
     assert sum(psi % 12 == 7 for psi in set(_PSI)) == 5
     for psi in _PSI:
         with pytest.raises(ValueError) as info:
             valuation_law(APWindow(1, 1, psi))
-        assert str(info.value) == f"window length must be a prime >= 5, got {psi}"
+        limit = residues.DETERMINISTIC_LIMIT
+        if psi < limit:
+            assert str(info.value) == f"window length must be a prime >= 5, got {psi}"
+        else:
+            assert str(info.value) == (
+                f"{psi} is beyond the deterministic primality range (< {limit})"
+            )
 
 
 P12 = 2**72 + 301  # prime, 5 (mod 12), in the 12-base band of is_prime

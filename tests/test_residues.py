@@ -8,6 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apsquares import residues
+from apsquares.apsum import APWindow
+from apsquares.obstruction import residue_sieve, valuation_law
 from apsquares.residues import (
     DETERMINISTIC_LIMIT,
     PrimeProfile,
@@ -18,22 +20,7 @@ from apsquares.residues import (
     legendre_euler,
     sqrt_mod_prime,
 )
-
-
-def test_is_prime_pinned_values():
-    assert not is_prime(1)
-    assert is_prime(13)
-    assert not is_prime(561)  # 3 * 11 * 17, Carmichael
-
-
-def test_is_prime_rejects_carmichael_numbers():
-    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 62745, 162401):
-        assert not is_prime(n)
-
-
-def test_is_prime_rejects_strong_pseudoprimes_to_few_bases():
-    assert not is_prime(3_215_031_751)  # 151 * 751 * 28351, spsp(2,3,5,7)
-    assert not is_prime(3_825_123_056_546_413_051)  # spsp to first 9 prime bases
+from apsquares.search import find_solutions, verify_no_solutions
 
 
 def test_is_prime_large_known_values():
@@ -89,23 +76,25 @@ def _thirteen_base_is_prime(n: int) -> bool:
 
 
 def test_each_psi_fools_its_bases_but_not_is_prime():
+    # psi_13 is the limit itself, which is_prime refuses rather than decides.
     for t, psi in enumerate(_PSI, start=1):
         assert all(_strong_probable_prime(psi, a) for a in _BASES[:t]), t
-        assert not is_prime(psi), t
+        if psi < DETERMINISTIC_LIMIT:
+            assert not is_prime(psi), t
     assert _PSI[-1] == DETERMINISTIC_LIMIT
 
 
 def test_witness_tiers_are_prime_prefixes_ending_at_psi():
     # BPSW, base 2 and then the Lucas test, decides every n below 2^64; each
-    # band above runs the first t prime bases up to psi_t, and the last runs
-    # 2..43 unbounded.
-    *rows, last = residues._WITNESS_TIERS
+    # band above runs the first t prime bases up to psi_t, and the last
+    # ends at the limit with all 13.
+    rows = residues._WITNESS_TIERS
     assert rows[0] == (2**64, (2,))
     for bound, bases in rows:
         t = len(bases)
         assert bases == _BASES[:t], bound
         assert bound == (2**64 if t == 1 else _PSI[t - 1]), bound
-    assert last == (math.inf, (*_BASES, 43))
+    assert rows[-1] == (DETERMINISTIC_LIMIT, _BASES)
 
 
 def test_is_prime_matches_sieve_below_two_million():
@@ -130,23 +119,6 @@ def test_is_prime_matches_thirteen_bases_just_below_the_limit(half_gap):
     # Beyond the limit the 13 bases are no longer exact, so draw only below it.
     n = DETERMINISTIC_LIMIT - 2 * half_gap
     assert is_prime(n) == _thirteen_base_is_prime(n)
-
-
-def test_is_prime_rejects_strong_pseudoprimes_straddling_the_tiers():
-    for n in (
-        3277,
-        4033,
-        4681,
-        1_373_653,
-        25_326_001,
-        3_215_031_751,
-        2_152_302_898_747,
-        3_474_749_660_383,
-        341_550_071_728_321,
-        3_825_123_056_546_413_051,
-        318_665_857_834_031_151_167_461,
-    ):
-        assert not is_prime(n), n
 
 
 # The bounds of the published minimal strong-test base sets below 2^64
@@ -314,10 +286,35 @@ def test_extra_strong_lucas_matches_matrix_oracle():
 
 
 def test_deterministic_limit_is_composite():
+    # A strong pseudoprime to all 13 bases, so the first n is_prime refuses.
     assert 1_287_836_182_261 * 2_575_672_364_521 == DETERMINISTIC_LIMIT
-    assert not is_prime(DETERMINISTIC_LIMIT)
-    with pytest.raises(ValueError):
-        classify_prime_mod12(DETERMINISTIC_LIMIT)
+    with pytest.raises(ValueError, match="beyond the deterministic primality range"):
+        is_prime(DETERMINISTIC_LIMIT)
+
+
+def test_every_primality_gate_refuses_a_prime_beyond_the_limit():
+    # q = 5 (mod 12) is prime (sympy's isprime agrees), but no proven base
+    # set reaches it, so every gate that asks is_prime refuses it in
+    # is_prime's words rather than certify on a probable prime.
+    q = 3_317_044_064_679_887_385_962_177
+    assert q > DETERMINISTIC_LIMIT and q % 12 == 5
+    message = f"{q} is beyond the deterministic primality range (< {DETERMINISTIC_LIMIT})"
+    gates = (
+        lambda: is_prime(q),
+        lambda: classify_prime_mod12(q),
+        lambda: legendre_euler(3, q),
+        lambda: sqrt_mod_prime(3, q),
+        lambda: residue_sieve(q),
+        lambda: valuation_law(APWindow(1, 1, q)),
+        lambda: verify_no_solutions(q, 1, 1),
+        lambda: find_solutions(q, 3, 3, use_sieve=True),
+    )
+    for gate in gates:
+        with pytest.raises(ValueError) as info:
+            gate()
+        assert str(info.value) == message
+    # Arithmetic stays unbounded: without the sieve no gate is asked.
+    assert find_solutions(q, 3, 3).windows_checked == 9
 
 
 def test_legendre_pinned_values():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import apsquares.search as search
 from apsquares.apsum import APWindow, window_form, window_sum_sq_closed
 from apsquares.obstruction import residue_sieve, trace_length3, valuation_law
-from apsquares.residues import is_prime
+from apsquares.residues import DETERMINISTIC_LIMIT, is_prime
 from apsquares.search import (
     CheckpointMismatch,
     find_solutions,
@@ -56,22 +56,23 @@ def test_verify_domain(tmp_path):
         verify_no_solutions(5, 0, 10)
 
 
-def _refuses(run):
+def _error(run):
     try:
         run()
-    except ValueError:
-        return True
-    return False
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def test_verify_accepts_exactly_the_traceable_lengths():
     # verify's domain against two other engines: the trace's gates, and
     # for primes the ratio sieve, empty exactly when 3 is a non-residue.
+    # 2^89 - 1 is beyond the deterministic range, where all of them refuse.
     for p in (*range(-2, 3000), 2**61 - 1, 2**61 + 1, 2**89 - 1):
-        refused = _refuses(lambda: verify_no_solutions(p, 1, 1))
+        refused = _error(lambda: verify_no_solutions(p, 1, 1)) is not None
         trace = trace_length3 if p == 3 else valuation_law
-        assert refused == _refuses(lambda: trace(APWindow(1, 1, p))), p
-        if p >= 5 and is_prime(p):
+        assert refused == (_error(lambda: trace(APWindow(1, 1, p))) is not None), p
+        if 5 <= p < DETERMINISTIC_LIMIT and is_prime(p):
             assert refused == bool(residue_sieve(p)), p
 
 
@@ -720,14 +721,6 @@ def test_tall_grid_solutions_sorted_by_d_then_n(k, n_max, d_max):
         assert len({n for n, _, _ in sols}) > 1  # hits from several columns
         assert list(sols) == sorted(sols, key=lambda s: (s[1], s[0]))
         assert list(sols) != sorted(sols)  # so (n, d) order would differ
-
-
-def _error(run):
-    try:
-        run()
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 def test_verify_refuses_lengths_with_the_valuation_laws_message():
