@@ -62,8 +62,12 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n >= DETERMINISTIC_LIMIT:
+        try:
+            name = str(n)
+        except ValueError:  # past CPython's int/str digit limit, which the CLI lifts
+            name = f"a {n.bit_length()}-bit integer"
         raise ValueError(
-            f"{n} is beyond the deterministic primality range (< {DETERMINISTIC_LIMIT})"
+            f"{name} is beyond the deterministic primality range (< {DETERMINISTIC_LIMIT})"
         )
     for p in _SMALL_PRIMES:
         if n % p == 0:

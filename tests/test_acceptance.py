@@ -8,6 +8,11 @@ known solutions, the sieve's losslessness, square roots of 3, and the
 CLI's golden bytes with a run resumed from its checkpoint. Module tests
 pin the pieces and the edges; they do not repeat these sweeps.
 
+`GOLDEN` below is the one golden table: every CLI output the suite pins
+byte for byte. c10 checks each row in one `python -m apsquares` child, and
+test_cli.py's `test_golden_outputs_through_a_text_only_stdout` once more
+in-process.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings. Every check is exact; there are no float tolerances
 anywhere in this suite.
@@ -174,39 +179,142 @@ def test_c09_sqrt_of_three_for_residue_primes():
     _announce(9, started, f"x^2 = 3 (mod p) solved for all {len(primes)} primes = +-1 (mod 12) below 1e5")
 
 
+# Each argv with the exact stdout it prints, with exit 0 and nothing on stderr.
+GOLDEN = [
+    (
+        ("classify", "--p", "7"),
+        '{"legendre3":-1,"mod12":7,"p":7}\n',
+    ),
+    (
+        ("classify", "--p", "7", "--format", "csv"),
+        "p,mod12,legendre3\n7,7,-1\n",
+    ),
+    (
+        ("legendre", "--a", "3", "--p", "5"),
+        '{"a":3,"p":5,"symbol":-1}\n',
+    ),
+    (
+        ("legendre", "--a", "3", "--p", "5", "--format", "csv"),
+        "a,p,symbol\n3,5,-1\n",
+    ),
+    (
+        ("sqrtmod", "--a", "3", "--p", "11"),
+        '{"a":3,"p":11,"roots":[5,6]}\n',
+    ),
+    (
+        ("sqrtmod", "--a", "2", "--p", "17", "--format", "csv"),
+        "a,p,root_small,root_large\n2,17,6,11\n",
+    ),
+    # A non-residue: no roots, null in JSON and two empty CSV cells.
+    (
+        ("sqrtmod", "--a", "3", "--p", "5"),
+        '{"a":3,"p":5,"roots":null}\n',
+    ),
+    (
+        ("sqrtmod", "--a", "3", "--p", "5", "--format", "csv"),
+        "a,p,root_small,root_large\n3,5,,\n",
+    ),
+    (
+        ("sum", "--k", "24"),
+        '{"k":24,"sum":300,"sum_sq":4900}\n',
+    ),
+    (
+        ("sum", "--k", "24", "--format", "csv"),
+        "k,sum,sum_sq\n24,300,4900\n",
+    ),
+    (
+        ("check", "--n", "18", "--d", "1", "--k", "11"),
+        '{"d":1,"floor_root":77,"k":11,"n":18,"root":77,"sum":5929}\n',
+    ),
+    (
+        ("check", "--n", "18", "--d", "1", "--k", "11", "--format", "text"),
+        "S(18, 1, 11) = 5929 = 77^2\n",
+    ),
+    (
+        ("check", "--n", "1", "--d", "1", "--k", "3", "--format", "csv"),
+        "n,d,k,sum,floor_root,root\n1,1,3,14,3,\n",
+    ),
+    # n = 2^60: every int beyond 2^53 - 1 is a decimal string, and d = 1 stays a number.
+    (
+        ("check", "--n", "1152921504606846976", "--d", "1", "--k", "3"),
+        '{"d":1,"floor_root":"1996918623117814389","k":3,"n":"1152921504606846976","root":null,'
+        '"sum":"3987683987354747625628950208482115589"}\n',
+    ),
+    (
+        ("trace", "--n", "1", "--d", "1", "--k", "3"),
+        '{"d":1,"details":{"quotient":14,"quotient_mod_3":2,"sum":14,"valuation":0},'
+        '"k":3,"n":1,"obstruction":"MOD3_QUOTIENT","prime":3,'
+        '"splits":{"d":{"unit":1,"valuation":0},"n":{"unit":1,"valuation":0}}}\n',
+    ),
+    (
+        ("trace", "--n", "1", "--d", "1", "--k", "3", "--format", "csv"),
+        "n,d,k,prime,obstruction,valuation,quotient\n1,1,3,3,MOD3_QUOTIENT,0,14\n",
+    ),
+    # A non-residue prime: v_5(6 S) = 2 min(1, 2) + 1 = 3, with n and d split apart.
+    (
+        ("trace", "--n", "5", "--d", "50", "--k", "5"),
+        '{"d":50,"details":{"min_exponent":1,"sum":80125,"valuation":3},"k":5,"n":5,'
+        '"obstruction":"VALUATION_PARITY","prime":5,'
+        '"splits":{"d":{"unit":2,"valuation":2},"n":{"unit":1,"valuation":1}}}\n',
+    ),
+    (
+        ("trace", "--n", "5", "--d", "5", "--k", "5", "--format", "csv"),
+        "n,d,k,prime,obstruction,valuation,quotient\n5,5,5,5,VALUATION_PARITY,3,\n",
+    ),
+    (
+        ("verify", "--p", "5", "--max-n", "200", "--max-d", "200"),
+        '{"max_d":200,"max_n":200,"p":5,"solutions":[],"windows":40000}\n',
+    ),
+    (
+        ("verify", "--p", "5", "--max-n", "20", "--max-d", "20", "--format", "csv"),
+        "k,n,d,t\n",
+    ),
+    (
+        ("verify", "--p", "5", "--max-n", "20", "--max-d", "20", "--format", "text"),
+        "p = 5: no square windows for n <= 20, d <= 20 (400 windows checked)\n",
+    ),
+    (
+        ("search", "--k", "11", "--max-n", "50", "--max-d", "1"),
+        '{"k":11,"max_d":1,"max_n":50,"sieve":false,"solutions":[[18,1,77],[38,1,143]],'
+        '"windows":50}\n',
+    ),
+    (
+        ("search", "--k", "11", "--max-n", "50", "--max-d", "1", "--format", "csv"),
+        "k,n,d,t\n11,18,1,77\n11,38,1,143\n",
+    ),
+    (
+        ("search", "--k", "11", "--max-n", "20", "--max-d", "300", "--format", "csv"),
+        "k,n,d,t\n11,18,1,77\n11,2,7,143\n11,4,14,286\n11,12,19,407\n11,6,21,429\n"
+        "11,8,28,572\n11,10,35,715\n11,12,42,858\n11,14,49,1001\n11,16,56,1144\n"
+        "11,18,63,1287\n11,20,70,1430\n11,16,227,4499\n",
+    ),
+    (
+        ("search", "--k", "11", "--max-n", "20", "--max-d", "300", "--format", "json"),
+        '{"k":11,"max_d":300,"max_n":20,"sieve":false,"solutions":[[18,1,77],[2,7,143],'
+        "[4,14,286],[12,19,407],[6,21,429],[8,28,572],[10,35,715],[12,42,858],[14,49,1001],"
+        '[16,56,1144],[18,63,1287],[20,70,1430],[16,227,4499]],"windows":6000}\n',
+    ),
+    # The sieve finds the same 8 solutions in 110 of the 600 windows.
+    (
+        ("search", "--k", "11", "--max-n", "60", "--max-d", "10"),
+        '{"k":11,"max_d":10,"max_n":60,"sieve":false,"solutions":[[18,1,77],[38,1,143],'
+        '[36,2,154],[54,3,231],[36,5,209],[2,7,143],[24,7,209],[38,7,253]],"windows":600}\n',
+    ),
+    (
+        ("search", "--k", "11", "--max-n", "60", "--max-d", "10", "--sieve"),
+        '{"k":11,"max_d":10,"max_n":60,"sieve":true,"solutions":[[18,1,77],[38,1,143],'
+        '[36,2,154],[54,3,231],[36,5,209],[2,7,143],[24,7,209],[38,7,253]],"windows":110}\n',
+    ),
+]
+
+
 def test_c10_cli_golden_outputs_and_checkpoint_resume(tmp_path):
     started = time.perf_counter()
-    pinned = [
-        (("classify", "--p", "7"), '{"legendre3":-1,"mod12":7,"p":7}\n'),
-        (
-            ("check", "--n", "18", "--d", "1", "--k", "11"),
-            '{"d":1,"floor_root":77,"k":11,"n":18,"root":77,"sum":5929}\n',
-        ),
-        (
-            ("verify", "--p", "5", "--max-n", "200", "--max-d", "200"),
-            '{"max_d":200,"max_n":200,"p":5,"solutions":[],"windows":40000}\n',
-        ),
-        (
-            ("trace", "--n", "1", "--d", "1", "--k", "3"),
-            '{"d":1,"details":{"quotient":14,"quotient_mod_3":2,"sum":14,"valuation":0},'
-            '"k":3,"n":1,"obstruction":"MOD3_QUOTIENT","prime":3,'
-            '"splits":{"d":{"unit":1,"valuation":0},"n":{"unit":1,"valuation":0}}}\n',
-        ),
-        (
-            ("search", "--k", "11", "--max-n", "50", "--max-d", "1", "--format", "csv"),
-            "k,n,d,t\n11,18,1,77\n11,38,1,143\n",
-        ),
-        (
-            ("verify", "--p", "5", "--max-n", "20", "--max-d", "20", "--format", "csv"),
-            "k,n,d,t\n",
-        ),
-    ]
-    for argv, expected in pinned:
-        first = run_cli(*argv)
-        second = run_cli(*argv)
-        assert first.returncode == 0, first.stderr
-        assert first.stdout == expected
-        assert second.stdout == first.stdout
+    for argv, expected in GOLDEN:
+        # One child, whose hash seed differs from this process's; test_cli.py runs each row
+        # once more in-process.
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected), argv
 
     ckpt = tmp_path / "acceptance.ckpt"
     uninterrupted = run_cli("verify", "--p", "17", "--max-n", "60", "--max-d", "12")
@@ -221,4 +329,7 @@ def test_c10_cli_golden_outputs_and_checkpoint_resume(tmp_path):
     )
     assert resumed.returncode == 0
     assert resumed.stdout == uninterrupted.stdout
-    _announce(10, started, "golden CLI bytes identical across runs; interrupted resume reproduces the report")
+    _announce(
+        10, started, f"{len(GOLDEN)} golden CLI outputs byte-identical in a child; "
+        "interrupted resume reproduces the report"
+    )

@@ -99,7 +99,8 @@ def test_trace_length3_rejects_other_lengths():
 def test_traces_check_the_prime_at_most_once(monkeypatch):
     # Every module binding of is_prime is counted, so a validation
     # reached through a helper such as legendre_euler shows up too. verify
-    # checks its length as a trace does.
+    # checks its length as a trace does. valuation_law's count is exact, in
+    # test_accepted_valuation_law_checks_the_prime_exactly_once.
     calls = []
     real = residues.is_prime
 
@@ -109,11 +110,6 @@ def test_traces_check_the_prime_at_most_once(monkeypatch):
 
     for module in (residues, obstruction, search):
         monkeypatch.setattr(module, "is_prime", counting)
-    windows = (APWindow(1, 1, 5), APWindow(25, 10, 5), APWindow(7**3, 49, 7), APWindow(3, 2, 17))
-    for window in windows:
-        calls.clear()
-        valuation_law(window)
-        assert len(calls) <= 1, (window, calls)
     for window in (APWindow(1, 1, 3), APWindow(9, 27, 3)):
         calls.clear()
         trace_length3(window)

@@ -1,6 +1,7 @@
 """Tests for symbols, mod-12 classification, primality, and modular roots."""
 
 import math
+import sys
 
 import pytest
 from conftest import primes_below
@@ -315,6 +316,21 @@ def test_every_primality_gate_refuses_a_prime_beyond_the_limit():
         assert str(info.value) == message
     # Arithmetic stays unbounded: without the sieve no gate is asked.
     assert find_solutions(q, 3, 3).windows_checked == 9
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_refusal_names_an_n_past_the_digit_limit_by_its_bit_length():
+    # 10^5000 has more digits than CPython's default 4300-digit int/str limit lets str() write.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as info:
+            is_prime(10**5000)
+    finally:
+        sys.set_int_max_str_digits(digits)
+    assert str(info.value) == (
+        f"a 16610-bit integer is beyond the deterministic primality range (< {DETERMINISTIC_LIMIT})"
+    )
 
 
 def test_legendre_pinned_values():
