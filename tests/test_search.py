@@ -65,15 +65,21 @@ def _error(run):
 
 
 def test_verify_accepts_exactly_the_traceable_lengths():
-    # verify's domain against two other engines: the trace's gates, and
-    # for primes the ratio sieve, empty exactly when 3 is a non-residue.
-    # 2^89 - 1 is beyond the deterministic range, where all of them refuse.
+    # verify's domain against two other engines. It refuses a length
+    # exactly when the trace's gate does, in that gate's words. No window
+    # has a length below 1, so there the gate cannot be asked; its
+    # prime-length refusal is pinned instead. For primes the ratio sieve is
+    # empty exactly when 3 is a non-residue. 2^89 - 1 is beyond the
+    # deterministic range, where all of them refuse.
     for p in (*range(-2, 3000), 2**61 - 1, 2**61 + 1, 2**89 - 1):
-        refused = _error(lambda: verify_no_solutions(p, 1, 1)) is not None
+        refused = _error(lambda: verify_no_solutions(p, 1, 1))
+        if p < 1:
+            assert refused == f"window length must be a prime >= 5, got {p}"
+            continue
         trace = trace_length3 if p == 3 else valuation_law
-        assert refused == (_error(lambda: trace(APWindow(1, 1, p))) is not None), p
+        assert refused == _error(lambda: trace(APWindow(1, 1, p))), p
         if 5 <= p < DETERMINISTIC_LIMIT and is_prime(p):
-            assert refused == bool(residue_sieve(p)), p
+            assert (refused is not None) == bool(residue_sieve(p)), p
 
 
 def test_find_matches_brute_force():
@@ -94,24 +100,13 @@ def test_find_domain():
 
 
 def test_solutions_sorted_by_d_then_n():
-    for use_sieve in (False, True):
-        sols = find_solutions(11, 200, 200, use_sieve=use_sieve).solutions
-        assert list(sols) == sorted(sols, key=lambda s: (s[1], s[0]))
-
-
-def test_sieve_matches_brute_force_oracle():
-    report = find_solutions(11, 120, 90, use_sieve=True)
-    assert report.solutions == _brute_solutions(11, 120, 90)
-
-
-def test_sieve_on_non_residue_prime_scans_only_divisible_strata():
-    plain = find_solutions(5, 100, 100, use_sieve=False)
-    sieved = find_solutions(5, 100, 100, use_sieve=True)
-    assert sieved.solutions == plain.solutions == ()
-    assert sieved.sieve_used
-    # The coprime stratum is empty, so at most the cells with 5 | n*d
-    # (grid minus the 80x80 coprime block) can be inspected.
-    assert 0 < sieved.windows_checked <= 100 * 100 - 80 * 80
+    # The square grid is scanned by rows and the tall ones by columns,
+    # which find their hits in (n, d) order.
+    for k, n_max, d_max in ((11, 200, 200), (11, 60, 2000), (24, 30, 500)):
+        for use_sieve in (False, True):
+            sols = find_solutions(k, n_max, d_max, use_sieve=use_sieve).solutions
+            assert list(sols) == sorted(sols, key=lambda s: (s[1], s[0]))
+            assert list(sols) != sorted(sols)  # so (n, d) order would differ
 
 
 @pytest.mark.parametrize("k,n_max", [(5, 200), (7, 150), (11, 220), (13, 60), (23, 12)])
@@ -137,7 +132,9 @@ def test_k_divides_n_only_gives_valuation_one(k, m, d):
 def test_sieve_on_non_residue_prime_scans_only_rows_divisible_by_k():
     # Coprime rows have no admissible class, so only the 20 rows with
     # 5 | d are inspected, in full.
-    assert find_solutions(5, 100, 100, use_sieve=True).windows_checked == 20 * 100
+    report = find_solutions(5, 100, 100, use_sieve=True)
+    assert report.sieve_used and report.solutions == ()
+    assert report.windows_checked == 20 * 100
 
 
 @pytest.mark.parametrize(
@@ -180,23 +177,21 @@ def test_determinism_of_repeat_runs():
     assert first == again
 
 
-def test_checkpoint_file_format(tmp_path):
-    path = str(tmp_path / "run.ckpt")
-    verify_no_solutions(5, 30, 12, checkpoint=path)
-    rows = "".join(f"done d={d}\n" for d in range(1, 13))
-    assert (tmp_path / "run.ckpt").read_bytes() == ("k=5 n_max=30 d_max=12 sieve=0\n" + rows).encode()
+def _done(last):
+    # The row lines of a checkpoint whose rows 1..last are done.
+    return "".join(f"done d={d}\n" for d in range(1, last + 1))
 
 
 def test_checkpoint_flushes_rows_once_the_interval_has_passed(monkeypatch, tmp_path):
-    # With no interval to wait, each completed row is on disk before the next is scanned.
+    # With no interval to wait, each completed row is on disk before the next is
+    # scanned, and the finished file is the header and one line per row.
     path = tmp_path / "flush.ckpt"
     header = "k=5 n_max=30 d_max=12 sieve=0\n"
     scan_row = search._scan_row
     scanned = []
 
     def spy(k, fixed, *args, **kwargs):
-        done = "".join(f"done d={d}\n" for d in range(1, fixed))
-        assert path.read_text(encoding="ascii") == header + done
+        assert path.read_text(encoding="ascii") == header + _done(fixed - 1)
         scanned.append(fixed)
         return scan_row(k, fixed, *args, **kwargs)
 
@@ -204,55 +199,52 @@ def test_checkpoint_flushes_rows_once_the_interval_has_passed(monkeypatch, tmp_p
     monkeypatch.setattr(search, "_scan_row", spy)
     verify_no_solutions(5, 30, 12, checkpoint=str(path))
     assert scanned == list(range(1, 13))
+    assert path.read_bytes() == (header + _done(12)).encode("ascii")
 
 
-def test_checkpoint_resume_after_every_row(tmp_path):
-    full = verify_no_solutions(5, 30, 12)
-    path = tmp_path / "resume.ckpt"
-    fingerprint = "k=5 n_max=30 d_max=12 sieve=0"
-    for rows_done in range(12):
-        # the file a run killed after `rows_done` rows leaves behind
-        path.write_text(
-            fingerprint + "\n" + "".join(f"done d={d}\n" for d in range(1, rows_done + 1)),
-            encoding="ascii",
-        )
-        resumed = verify_no_solutions(5, 30, 12, checkpoint=str(path))
-        assert resumed == full
-        lines = path.read_text(encoding="ascii").splitlines()
-        assert lines[1:] == [f"done d={d}" for d in range(1, 13)]
-
-
-def test_checkpoint_fingerprint_mismatch(tmp_path):
-    path = tmp_path / "other.ckpt"
-    # The second is this run's fingerprint joined to a row by "\x1e", not "\n".
-    for content in (b"k=7 n_max=30 d_max=12 sieve=0\ndone d=1\n",
-                    b"k=5 n_max=30 d_max=12 sieve=0\x1edone d=7\n"):
-        path.write_bytes(content)
-        with pytest.raises(CheckpointMismatch):
-            verify_no_solutions(5, 30, 12, checkpoint=str(path))
-        assert path.read_bytes() == content  # left untouched
-
-
-def test_checkpoint_malformed_line(tmp_path):
-    path = tmp_path / "bad.ckpt"
+# Files that verify_no_solutions(5, 30, 12) refuses, each with a fragment of its refusal
+# message. _HEADER is that run's header line.
+_HEADER = b"k=5 n_max=30 d_max=12 sieve=0\n"
+_REFUSED = [
+    # Another run's header, whole or torn: its torn tail is not this run's to cut.
+    (b"k=7 n_max=30 d_max=12 sieve=0\ndone d=1\n", "fingerprint"),
+    (b"k=7 n_max", "fingerprint"),
+    # This run's header joined to a row by "\x1e", not "\n".
+    (_HEADER[:-1] + b"\x1edone d=7\n", "fingerprint"),
     # "done d=x" and "done d=" are short enough to reach int(), which refuses them.
     # int() accepts "1_0" through "3 "; only the writer's exact "done d=<row>" counts.
     # splitlines() would read the last two as rows, breaking at "\x0c" and "\r".
-    for line in ("done d=oops", "done d=x", "done d=", "row 3 finished", "done d=1_0",
-                 "done d=+3", "done d= 3", "done d=03", "done d=3 ", "done d=1\x0cdone d=2",
-                 "done d=1\r"):
-        content = f"k=5 n_max=30 d_max=12 sieve=0\n{line}\n".encode("ascii")
-        path.write_bytes(content)
-        with pytest.raises(CheckpointMismatch, match="malformed"):
-            verify_no_solutions(5, 30, 12, checkpoint=str(path))
-        assert path.read_bytes() == content  # read_text() would turn "\r\n" into "\n"
+    *(
+        (_HEADER + line + b"\n", "malformed")
+        for line in (b"done d=oops", b"done d=x", b"done d=", b"row 3 finished", b"done d=1_0",
+                     b"done d=+3", b"done d= 3", b"done d=03", b"done d=3 ",
+                     b"done d=1\x0cdone d=2", b"done d=1\r")
+    ),
+    # No row of 12 is spelled as long as "done d=999", so it is malformed, not outside.
+    (_HEADER + b"done d=999\n", "malformed"),
+    (_HEADER + b"done d=0\n", "outside [1, 12]"),
+    (_HEADER + b"done d=13\n", "outside [1, 12]"),
+    (_HEADER + b"\xff\n", "refused.ckpt' is not an ASCII checkpoint file"),
+    # One byte over the most the run can write: the header, 12 row lines of the
+    # longest spelling, 10 bytes, and a torn line of 9.
+    (_HEADER + b"done d=12\n" * 13, "refused.ckpt': longer than the 159 bytes"),
+]
 
 
-def test_checkpoint_non_ascii_byte_rejected(tmp_path):
-    path = tmp_path / "binary.ckpt"
-    path.write_bytes(b"k=5 n_max=30 d_max=12 sieve=0\n\xff\n")
-    with pytest.raises(CheckpointMismatch, match="binary.ckpt"):
+def _tail_id(value):
+    # A _REFUSED id: the file's bytes after this run's header, cut to 30 characters.
+    return value.removeprefix(_HEADER)[:30].decode("latin-1") if isinstance(value, bytes) else None
+
+
+@pytest.mark.parametrize("content,fragment", _REFUSED, ids=_tail_id)
+def test_refused_checkpoint_is_left_untouched(content, fragment, tmp_path):
+    # Compared as bytes: read_text() would turn "\r\n" into "\n".
+    path = tmp_path / "refused.ckpt"
+    path.write_bytes(content)
+    with pytest.raises(CheckpointMismatch) as refusal:
         verify_no_solutions(5, 30, 12, checkpoint=str(path))
+    assert fragment in str(refusal.value)
+    assert path.read_bytes() == content
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
@@ -260,23 +252,6 @@ def test_checkpoint_that_is_not_a_regular_file_is_refused():
     # A character device is refused before it is read: /dev/zero would be read without end.
     with pytest.raises(CheckpointMismatch, match="'/dev/null' is not a regular file"):
         verify_no_solutions(5, 3, 3, checkpoint="/dev/null")
-
-
-def test_checkpoint_torn_tail_is_cut_before_append(tmp_path):
-    full = verify_no_solutions(5, 30, 12)
-    fingerprint = "k=5 n_max=30 d_max=12 sieve=0"
-    path = tmp_path / "torn.ckpt"
-    for content in (fingerprint + "\ndone d=1\ndone d=", fingerprint[:7]):
-        path.write_text(content, encoding="ascii")
-        resumed = verify_no_solutions(5, 30, 12, checkpoint=str(path))
-        assert resumed == full
-        assert path.read_text(encoding="ascii") == fingerprint + "\n" + "".join(
-            f"done d={d}\n" for d in range(1, 13)
-        )
-    path.write_text("k=7 n_max", encoding="ascii")  # torn, but another run's
-    with pytest.raises(CheckpointMismatch):
-        verify_no_solutions(5, 30, 12, checkpoint=str(path))
-    assert path.read_bytes() == b"k=7 n_max"  # not cut: the tail is another run's
 
 
 def test_checkpoint_torn_row_number_is_not_done(tmp_path):
@@ -292,7 +267,8 @@ def test_checkpoint_torn_row_number_is_not_done(tmp_path):
 
 def test_checkpoint_resume_from_every_byte_prefix(tmp_path):
     # Row 1 holds hits, so it is never marked done. Each prefix is a file
-    # some interrupted write could leave, a torn header included.
+    # some interrupted write could leave: the empty file, a torn header, a
+    # torn row and every row count in between.
     path = tmp_path / "prefix.ckpt"
     full = search._scan_grid(11, 40, 25, None, str(path))
     finished = path.read_bytes()
@@ -318,39 +294,16 @@ def test_checkpoint_corrupt_header_byte_rejected(tmp_path):
             assert path.read_bytes() == content
 
 
-def test_checkpoint_row_outside_grid_rejected(tmp_path):
-    path = tmp_path / "range.ckpt"
-    for row in (0, 13, 999):
-        path.write_text(f"k=5 n_max=30 d_max=12 sieve=0\ndone d={row}\n", encoding="ascii")
-        with pytest.raises(CheckpointMismatch):
-            verify_no_solutions(5, 30, 12, checkpoint=str(path))
-
-
-def test_checkpoint_empty_file_is_fresh(tmp_path):
-    path = tmp_path / "fresh.ckpt"
-    path.touch()
-    report = verify_no_solutions(5, 10, 4, checkpoint=str(path))
-    assert report.windows_checked == 40
-    assert path.read_text(encoding="ascii").splitlines()[0] == "k=5 n_max=10 d_max=4 sieve=0"
-
-
 def test_checkpoint_size_bound_is_the_longest_file_the_run_writes(tmp_path):
     # With d_max = 9 every row line has the longest spelling, 9 bytes: the
-    # longest file is the header, all 9 rows and a torn line of 8 bytes.
+    # longest file is the header, all 9 rows and a torn line of 8 bytes, 118
+    # in all, and it resumes. _REFUSED holds a file one byte over a bound.
     full = verify_no_solutions(5, 30, 9)
-    finished = "k=5 n_max=30 d_max=9 sieve=0\n" + "".join(f"done d={d}\n" for d in range(1, 10))
-    limit = len(finished) + 8
-    assert limit == 118
+    finished = "k=5 n_max=30 d_max=9 sieve=0\n" + _done(9)
     path = tmp_path / "bound.ckpt"
     path.write_text(finished + "done d=9", encoding="ascii")
     assert verify_no_solutions(5, 30, 9, checkpoint=str(path)) == full
     assert path.read_text(encoding="ascii") == finished
-    content = (finished + "done d=99").encode("ascii")
-    assert len(content) == limit + 1
-    path.write_bytes(content)
-    with pytest.raises(CheckpointMismatch, match=r"malformed checkpoint .*bound\.ckpt"):
-        verify_no_solutions(5, 30, 9, checkpoint=str(path))
-    assert path.read_bytes() == content
 
 
 def test_counterexample_reported_and_not_checkpointed(tmp_path):
@@ -557,13 +510,16 @@ def _assert_tiles_match(tables, k, width, cell):
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
 def test_row_tables_match_residue_enumeration(k):
-    n_max = 40
-    tables = search._row_tables(k, n_max, window_form(k), lines=_ALL_LINES)
-    assert tables.form == window_form(k)
-    assert tables.width == n_max
-    _assert_tiles_match(tables, k, n_max, lambda r, x: (x, r))
-    for i in range(n_max):
-        assert tables.every_kth_cell >> i & 1 == (i % k == 0)
+    # Lines of 40 cells: rows fix d, columns fix n.
+    rows = (window_form(k), lambda r, x: (x, r))
+    columns = (window_form(k)[::-1], lambda r, x: (r, x))
+    for form, cell in (rows, columns):
+        tables = search._row_tables(k, 40, form, lines=_ALL_LINES)
+        assert tables.form == form
+        assert tables.width == 40
+        _assert_tiles_match(tables, k, 40, cell)
+        for i in range(40):
+            assert tables.every_kth_cell >> i & 1 == (i % k == 0)
 
 
 @pytest.mark.parametrize("lines", [1, 5, 22, 70])
@@ -618,12 +574,15 @@ def test_verify_filter_never_uses_the_length_as_modulus(monkeypatch):
     lengths = [3] + [p for p in range(5, 200) if search.is_prime(p) and p % 12 in (5, 7)]
     assert 5 in lengths and 7 in lengths
     for p in lengths:
-        used.clear()
-        verify_no_solutions(p, 20, 2)
-        assert used
-        for tables in used:
-            assert tables.squares
-            assert all(math.gcd(m, p) == 1 for m, _ in tables.squares), p
+        # 20 x 2 is scanned by its two rows and 2 x 20 by its two columns.
+        for n_max, d_max, form in ((20, 2, window_form(p)), (2, 20, window_form(p)[::-1])):
+            used.clear()
+            verify_no_solutions(p, n_max, d_max)
+            assert len(used) == 2
+            for tables in used:
+                assert tables.form == form
+                assert tables.squares
+                assert all(math.gcd(m, p) == 1 for m, _ in tables.squares), p
 
 
 def _sieve_ratios(k):
@@ -652,7 +611,9 @@ def _count_kept_cells(monkeypatch):
 def test_rows_and_columns_agree(k, tmp_path, monkeypatch):
     # A checkpoint forces d-major rows; without one a tall grid is
     # scanned by columns. d_max >= 2k^2 + 2 puts rows with k^2 | d in the
-    # grid; for k = 89 three columns keep the direct-sum oracle quick.
+    # grid; for k = 89 three columns keep the direct-sum oracle quick. The
+    # report names neither the checkpoint nor the axis, so the two reports
+    # are equal, down to their hashes.
     kept = _count_kept_cells(monkeypatch)
     for n_max, d_max in ((7, 600), (20 if k < 89 else 3, max(2 * k * k + 2, 60))):
         brute = _brute_solutions(k, n_max, d_max)
@@ -664,77 +625,8 @@ def test_rows_and_columns_agree(k, tmp_path, monkeypatch):
             kept.clear()
             columns = search._scan_grid(k, n_max, d_max, ratios, None)
             assert len(kept) == n_max and sum(kept) == columns.windows_checked
-            assert columns.solutions == rows.solutions == brute, (n_max, d_max, ratios)
-            assert columns.windows_checked == rows.windows_checked
-
-
-@pytest.mark.parametrize("n_max,d_max", [(10, 400), (20, 300)])
-@pytest.mark.parametrize("p", [3, 5, 7, 17])
-def test_verify_report_is_the_same_scanned_by_rows_or_by_columns(p, n_max, d_max, tmp_path):
-    # The checkpointed run scans the d_max rows and the other the n_max
-    # columns; the report names neither the checkpoint nor the grid, so
-    # the two are equal, down to their hashes.
-    rows = verify_no_solutions(p, n_max, d_max, checkpoint=str(tmp_path / "rows.ckpt"))
-    columns = verify_no_solutions(p, n_max, d_max)
-    assert rows == columns
-    assert hash(rows) == hash(columns)
-    assert rows.solutions == ()
-    assert rows.windows_checked == n_max * d_max
-
-
-@pytest.mark.parametrize("k", [2, 3, 5, 6, 11, 13, 89, 30030])
-def test_column_tables_match_residue_enumeration(k):
-    d_max = 40
-    tables = search._row_tables(k, d_max, window_form(k)[::-1], lines=_ALL_LINES)
-    assert tables.form == window_form(k)[::-1]
-    assert tables.width == d_max
-    _assert_tiles_match(tables, k, d_max, lambda r, x: (r, x))
-
-
-def test_column_filter_never_uses_the_length_as_modulus(monkeypatch):
-    # The tall-grid companion of the row test: verify's columns, too,
-    # never filter by a modulus sharing a factor with p, which matters at
-    # p = 3 (the tile at 9 is the 3-adic step) and not for p >= 5.
-    used = []
-    real_scan_row = search._scan_row
-
-    def spy(*args, **kwargs):
-        used.append(kwargs["tables"])
-        return real_scan_row(*args, **kwargs)
-
-    monkeypatch.setattr(search, "_scan_row", spy)
-    lengths = [3] + [p for p in range(5, 200) if search.is_prime(p) and p % 12 in (5, 7)]
-    for p in lengths:
-        used.clear()
-        verify_no_solutions(p, 2, 20)
-        assert len(used) == 2  # one call per column
-        for tables in used:
-            assert tables.form == window_form(p)[::-1]
-            assert tables.squares
-            assert all(math.gcd(m, p) == 1 for m, _ in tables.squares), p
-
-
-@pytest.mark.parametrize("k,n_max,d_max", [(11, 60, 2000), (24, 30, 500)])
-def test_tall_grid_solutions_sorted_by_d_then_n(k, n_max, d_max):
-    for use_sieve in (False, True):
-        sols = find_solutions(k, n_max, d_max, use_sieve=use_sieve).solutions
-        assert len({n for n, _, _ in sols}) > 1  # hits from several columns
-        assert list(sols) == sorted(sols, key=lambda s: (s[1], s[0]))
-        assert list(sols) != sorted(sols)  # so (n, d) order would differ
-
-
-def test_verify_refuses_lengths_with_the_valuation_laws_message():
-    # One gate: every length verify refuses, it refuses in the valuation
-    # law's words. No window has a length below 1, so there the law
-    # cannot be asked; its gate's prime-length refusal is pinned instead.
-    for p in range(-2, 3000):
-        if p == 3:
-            continue
-        refused = _error(lambda: verify_no_solutions(p, 1, 1))
-        if p < 1:
-            assert refused == f"window length must be a prime >= 5, got {p}"
-        elif refused is not None:
-            assert refused == _error(lambda: valuation_law(APWindow(1, 1, p))), p
+            assert rows.solutions == brute, (n_max, d_max, ratios)
+            assert columns == rows and hash(columns) == hash(rows)
 
 
 @pytest.mark.parametrize("k", [37, 107, 1000033])
